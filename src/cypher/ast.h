@@ -221,6 +221,9 @@ class BinaryExpr final : public Expr {
     fn(*lhs_);
     fn(*rhs_);
   }
+  BinaryOp op() const { return op_; }
+  const Expr& lhs() const { return *lhs_; }
+  const Expr& rhs() const { return *rhs_; }
 
  private:
   BinaryOp op_;
@@ -317,6 +320,10 @@ class ListComprehensionExpr final : public Expr {
     if (where_) fn(*where_);
     if (projection_) fn(*projection_);
   }
+  const std::string& var() const { return var_; }
+  const Expr& list() const { return *list_; }
+  const Expr* where() const { return where_.get(); }
+  const Expr* projection() const { return projection_.get(); }
 
  private:
   std::string var_;
@@ -370,6 +377,10 @@ class QuantifierExpr final : public Expr {
     fn(*list_);
     fn(*predicate_);
   }
+  Quantifier quantifier() const { return quantifier_; }
+  const std::string& var() const { return var_; }
+  const Expr& list() const { return *list_; }
+  const Expr& predicate() const { return *predicate_; }
 
  private:
   Quantifier quantifier_;

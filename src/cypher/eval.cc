@@ -563,6 +563,8 @@ Result<Value> QuantifierExpr::Eval(EvalContext& ctx) const {
     const Value& p = pred.value();
     if (p.is_null()) {
       saw_null = true;
+    } else if (!p.is_bool()) {
+      return Status::EvaluationError("quantifier predicate must be boolean");
     } else if (p.AsBool()) {
       ++true_count;
     } else {

@@ -1,6 +1,7 @@
 #include "cypher/executor.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +28,230 @@ std::set<std::string> PatternVariables(
     }
   }
   return vars;
+}
+
+// Adds every variable `expr` names to `out` — a superset of what it
+// reads, since names a nested comprehension binds count too. False when
+// the tree holds a pattern predicate, which reads the record beyond the
+// variables it names.
+bool CollectVariables(const Expr& expr, std::set<std::string>* out) {
+  if (dynamic_cast<const ExistsPatternExpr*>(&expr) != nullptr) return false;
+  if (const auto* var = dynamic_cast<const VariableExpr*>(&expr)) {
+    out->insert(var->name());
+  }
+  bool ok = true;
+  expr.VisitChildren([&](const Expr& child) {
+    if (ok) ok = CollectVariables(child, out);
+  });
+  return ok;
+}
+
+// The variable of a `relationships(<variable>)` call; null for any other
+// expression.
+const std::string* RelationshipsArgument(const Expr& expr) {
+  const auto* call = dynamic_cast<const FunctionCallExpr*>(&expr);
+  if (call == nullptr || call->name() != "relationships" ||
+      call->args().size() != 1) {
+    return nullptr;
+  }
+  const auto* var = dynamic_cast<const VariableExpr*>(call->args()[0].get());
+  return var == nullptr ? nullptr : &var->name();
+}
+
+// What a variable or expression is known to hold on every row.
+enum class Shape {
+  kValue,  // Some value, kind unknown.
+  kNode,
+  kPath,
+  kNodeList,
+  kRelationshipList,
+  kListedNode,  // A node a comprehension takes from a node list.
+};
+using Shapes = std::map<std::string, Shape>;
+
+// The shape of `expr` when it provably cannot raise an evaluation error
+// on a row binding `shapes`; nullopt otherwise. Deliberately no wider
+// than Listing 5's WITH items need: variables, literals, `nodes` and
+// `relationships` of a path, `labels` of a node, IN, and a comprehension
+// over a node list that reads its element's properties, such as
+// `[n IN nodes(q) WHERE 'Station' IN labels(n) | n.id]`.
+std::optional<Shape> TotalShape(const Expr& expr, const Shapes& shapes) {
+  if (dynamic_cast<const LiteralExpr*>(&expr) != nullptr) {
+    return Shape::kValue;
+  }
+  if (const auto* var = dynamic_cast<const VariableExpr*>(&expr)) {
+    auto it = shapes.find(var->name());
+    if (it == shapes.end()) return std::nullopt;
+    return it->second;
+  }
+  if (const auto* prop = dynamic_cast<const PropertyExpr*>(&expr)) {
+    if (TotalShape(prop->object(), shapes) == Shape::kListedNode) {
+      return Shape::kValue;
+    }
+    return std::nullopt;
+  }
+  if (const auto* call = dynamic_cast<const FunctionCallExpr*>(&expr)) {
+    if (call->args().size() != 1) return std::nullopt;
+    std::optional<Shape> arg = TotalShape(*call->args()[0], shapes);
+    const std::string& name = call->name();
+    if (arg == Shape::kPath) {
+      if (name == "nodes") return Shape::kNodeList;
+      if (name == "relationships") return Shape::kRelationshipList;
+    }
+    if ((arg == Shape::kNode || arg == Shape::kListedNode) &&
+        name == "labels") {
+      return Shape::kValue;
+    }
+    return std::nullopt;
+  }
+  if (const auto* in = dynamic_cast<const BinaryExpr*>(&expr)) {
+    if (in->op() == BinaryOp::kIn && TotalShape(in->lhs(), shapes) &&
+        TotalShape(in->rhs(), shapes)) {
+      return Shape::kValue;
+    }
+    return std::nullopt;
+  }
+  if (const auto* comp = dynamic_cast<const ListComprehensionExpr*>(&expr)) {
+    if (TotalShape(comp->list(), shapes) != Shape::kNodeList) {
+      return std::nullopt;
+    }
+    Shapes inner = shapes;
+    inner[comp->var()] = Shape::kListedNode;
+    for (const Expr* part : {comp->where(), comp->projection()}) {
+      if (part != nullptr && !TotalShape(*part, inner)) return std::nullopt;
+    }
+    return Shape::kValue;
+  }
+  return std::nullopt;
+}
+
+// The path-filter pushdown for the MATCH at `query.clauses[index]`
+// (docs/INTERNALS.md, "Path-filter pushdown"): the leading
+// `ALL(e IN relationships(q) WHERE P)` conjunct of the first WHERE to see
+// the MATCH's rows — its own, or that of an immediately following WITH —
+// when checking P during expansion provably changes nothing but speed.
+// `input_fields` are the fields of the table the MATCH extends. nullopt
+// when any exactness rule fails.
+std::optional<PathFilter> PlanPathFilter(
+    const SingleQuery& query, size_t index,
+    const std::set<std::string>& input_fields) {
+  const auto& match = std::get<MatchClause>(query.clauses[index]);
+  // OPTIONAL MATCH pads a row when every match is filtered out.
+  if (match.optional) return std::nullopt;
+  // `shapes`: the variables every output row binds. `late`: those the
+  // matcher binds only when a segment or pattern completes, so their
+  // value mid-expansion is not the final one.
+  Shapes shapes;
+  for (const std::string& field : input_fields) shapes[field] = Shape::kValue;
+  // The matcher evaluates property maps as it expands, so one that could
+  // fail might raise its error only on a branch pruning cuts. Only maps
+  // total over the input row, such as literals, are safe.
+  const Shapes bound = shapes;
+  auto total_map = [&](const auto& properties) {
+    for (const auto& [key, value] : properties) {
+      if (!TotalShape(*value, bound)) return false;
+    }
+    return true;
+  };
+  Shapes late;
+  for (const PathPattern& path : match.patterns) {
+    // Pruning would change which path is shortest.
+    if (path.mode != PathMode::kNormal) return std::nullopt;
+    // A path variable declared twice would leave the WHERE reading
+    // whichever pattern the planner happened to complete last.
+    if (!path.path_variable.empty() &&
+        !late.emplace(path.path_variable, Shape::kPath).second) {
+      return std::nullopt;
+    }
+    for (const NodePattern& np : path.nodes) {
+      if (!total_map(np.properties)) return std::nullopt;
+      if (!np.variable.empty()) shapes[np.variable] = Shape::kNode;
+    }
+    for (const RelPattern& rp : path.rels) {
+      if (!total_map(rp.properties)) return std::nullopt;
+      if (rp.variable.empty()) continue;
+      if (rp.variable_length) {
+        late[rp.variable] = Shape::kRelationshipList;
+      } else {
+        shapes[rp.variable] = Shape::kValue;
+      }
+    }
+  }
+  // A late binding overwrites whatever the name held before.
+  for (const auto& [name, shape] : late) shapes[name] = shape;
+
+  // The WHERE, and the WITH body it reads the rows through (null: the
+  // MATCH's own WHERE reads the rows themselves). Between the MATCH and a
+  // WITH's WHERE only the items are evaluated, so each must be unable to
+  // fail on any row.
+  const Expr* where = match.where.get();
+  const ProjectionBody* body = nullptr;
+  std::map<std::string, const Expr*> items;
+  if (where == nullptr) {
+    if (index + 1 >= query.clauses.size()) return std::nullopt;
+    const auto* with = std::get_if<WithClause>(&query.clauses[index + 1]);
+    if (with == nullptr || with->where == nullptr) return std::nullopt;
+    body = &with->body;
+    if (body->include_all || body->distinct || !body->order_by.empty() ||
+        body->skip != nullptr || body->limit != nullptr) {
+      return std::nullopt;
+    }
+    where = with->where.get();
+    for (const ProjectionItem& item : body->items) {
+      if (!TotalShape(*item.expr, shapes) ||
+          !items.emplace(item.alias, item.expr.get()).second) {
+        return std::nullopt;
+      }
+    }
+  }
+  // True when the WHERE reads `name` as the matcher's own binding: any
+  // name for the MATCH's WHERE, an identity item (`v AS v`) for a WITH's.
+  auto passes_through = [&](const std::string& name) {
+    if (body == nullptr) return true;
+    auto it = items.find(name);
+    if (it == items.end()) return false;
+    const auto* var = dynamic_cast<const VariableExpr*>(it->second);
+    return var != nullptr && var->name() == name;
+  };
+
+  // The leftmost conjunct: evaluated first, and AND short-circuits on its
+  // false, so nothing to its right can raise an error on a pruned row.
+  const Expr* lead = where;
+  while (const auto* conj = dynamic_cast<const BinaryExpr*>(lead)) {
+    if (conj->op() != BinaryOp::kAnd) break;
+    lead = &conj->lhs();
+  }
+  const auto* all = dynamic_cast<const QuantifierExpr*>(lead);
+  if (all == nullptr || all->quantifier() != Quantifier::kAll) {
+    return std::nullopt;
+  }
+  // The quantified list must be relationships(q), directly or through a
+  // WITH alias, for a path q of this MATCH.
+  const std::string* path = RelationshipsArgument(all->list());
+  if (path != nullptr && !passes_through(*path)) return std::nullopt;
+  if (path == nullptr && body != nullptr) {
+    if (const auto* var = dynamic_cast<const VariableExpr*>(&all->list())) {
+      auto it = items.find(var->name());
+      if (it != items.end()) path = RelationshipsArgument(*it->second);
+    }
+  }
+  auto shape = path == nullptr ? shapes.end() : shapes.find(*path);
+  if (shape == shapes.end() || shape->second != Shape::kPath) {
+    return std::nullopt;
+  }
+
+  std::set<std::string> reads;
+  if (!CollectVariables(all->predicate(), &reads)) return std::nullopt;
+  reads.erase(all->var());
+  for (const std::string& name : reads) {
+    if (late.contains(name) || !passes_through(name)) return std::nullopt;
+  }
+  PathFilter filter;
+  filter.path_variable = *path;
+  filter.element = all->var();
+  filter.predicate = &all->predicate();
+  filter.reads.assign(reads.begin(), reads.end());
+  return filter;
 }
 
 // Lexicographic ordering for grouping keys.
@@ -60,7 +285,11 @@ class Executor {
     for (size_t i = 0; i < query.clauses.size(); ++i) {
       const Clause& clause = query.clauses[i];
       if (const auto* match = std::get_if<MatchClause>(&clause)) {
-        SERAPH_ASSIGN_OR_RETURN(table, ApplyMatch(*match, i, table));
+        std::optional<PathFilter> filter =
+            PlanPathFilter(query, i, table.fields());
+        SERAPH_ASSIGN_OR_RETURN(
+            table, ApplyMatch(*match, i, table,
+                              filter.has_value() ? &*filter : nullptr));
       } else if (const auto* unwind = std::get_if<UnwindClause>(&clause)) {
         SERAPH_ASSIGN_OR_RETURN(table, ApplyUnwind(*unwind, table));
       } else if (const auto* with = std::get_if<WithClause>(&clause)) {
@@ -74,11 +303,15 @@ class Executor {
     return ApplyProjection(query.ret.body, table);
   }
 
+  const ExecutionStats& stats() const { return stats_; }
+
  private:
   // ---- MATCH ----
 
+  // `filter` (may be null) is pushed into path expansion; the WHERE it
+  // came from still filters every row afterwards.
   Result<Table> ApplyMatch(const MatchClause& match, size_t clause_index,
-                           const Table& input) {
+                           const Table& input, const PathFilter* filter) {
     const PropertyGraph& graph = resolver_.GraphFor(match, clause_index);
     std::set<std::string> fields = input.fields();
     std::set<std::string> new_vars = PatternVariables(match.patterns);
@@ -86,6 +319,9 @@ class Executor {
     Table out(fields);
     MatchOptions match_options;
     match_options.optimize_pattern_order = options_.optimize_match_order;
+    match_options.path_filter = filter;
+    match_options.pruned = &stats_.pruned;
+    if (filter != nullptr) stats_.pushdown = true;
     for (const Record& row : input.rows()) {
       std::vector<Record> matches;
       SERAPH_RETURN_IF_ERROR(MatchPatterns(match.patterns, graph, row, ctx_,
@@ -387,6 +623,7 @@ class Executor {
   const GraphResolver& resolver_;
   ExecutionOptions options_;
   EvalContext ctx_;
+  ExecutionStats stats_;
 };
 
 }  // namespace
@@ -394,9 +631,12 @@ class Executor {
 Result<Table> ExecuteSingleQuery(const SingleQuery& query,
                                  const GraphResolver& resolver,
                                  const Table& input,
-                                 const ExecutionOptions& options) {
+                                 const ExecutionOptions& options,
+                                 ExecutionStats* stats) {
   Executor executor(resolver, options);
-  return executor.Run(query, input);
+  Result<Table> result = executor.Run(query, input);
+  if (stats != nullptr) *stats = executor.stats();
+  return result;
 }
 
 Result<Table> ExecuteQuery(const Query& query, const GraphResolver& resolver,

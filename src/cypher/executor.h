@@ -8,6 +8,7 @@
 #ifndef SERAPH_CYPHER_EXECUTOR_H_
 #define SERAPH_CYPHER_EXECUTOR_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -43,6 +44,15 @@ struct ExecutionOptions {
   const CancellationToken* cancellation = nullptr;
 };
 
+// What one execution did beyond its result table (optional out-param).
+struct ExecutionStats {
+  // True when some MATCH ran with a relationship filter pushed into path
+  // expansion (docs/INTERNALS.md, "Path-filter pushdown").
+  bool pushdown = false;
+  // Expansions the pushed-down filters cut.
+  int64_t pruned = 0;
+};
+
 // Supplies the graph each MATCH clause is evaluated against. Seraph's
 // continuous engine returns the snapshot graph of the clause's WITHIN
 // window; one-time Cypher uses a single graph for everything.
@@ -75,10 +85,12 @@ class SingleGraphResolver final : public GraphResolver {
 
 // Evaluates one clause chain against `input` (Section 3.2's functional
 // composition); `input` is normally Table::Unit().
+// `stats`, when given, is overwritten.
 Result<Table> ExecuteSingleQuery(const SingleQuery& query,
                                  const GraphResolver& resolver,
                                  const Table& input,
-                                 const ExecutionOptions& options);
+                                 const ExecutionOptions& options,
+                                 ExecutionStats* stats = nullptr);
 
 // Evaluates a full query (UNION of single queries) from the unit table.
 Result<Table> ExecuteQuery(const Query& query, const GraphResolver& resolver,

@@ -135,6 +135,23 @@ class Matcher {
     seed_end_ = end;
   }
 
+  // Installs a pushed-down path filter (null = none). It applies to the
+  // kNormal pattern binding filter->path_variable; without one it is inert.
+  void set_path_filter(const PathFilter* filter) {
+    filter_ = filter;
+    filtered_ = nullptr;
+    if (filter == nullptr) return;
+    for (const PathPattern* p : patterns_) {
+      if (p->mode == PathMode::kNormal &&
+          p->path_variable == filter->path_variable) {
+        filtered_ = p;
+      }
+    }
+  }
+
+  // Expansions the path filter cut so far.
+  int64_t pruned() const { return pruned_; }
+
   Status Run(const Record& input) {
     current_ = input;
     return MatchPattern(0);
@@ -154,7 +171,12 @@ class Matcher {
       return MatchShortest(path, pattern_idx);
     }
     PathValue trail;
-    return MatchNode(path, 0, pattern_idx, /*forced=*/nullptr, &trail);
+    // A fresh trail of the filtered pattern starts with pruning on.
+    const bool live = filter_live_;
+    if (&path == filtered_) filter_live_ = true;
+    Status s = MatchNode(path, 0, pattern_idx, /*forced=*/nullptr, &trail);
+    filter_live_ = live;
+    return s;
   }
 
   // ---- Chain traversal ----
@@ -252,11 +274,16 @@ class Matcher {
           bound_here = true;
         }
       }
-      used_rels_.insert(rid);
-      trail->rels.push_back(rid);
-      Status s = MatchNode(path, node_idx + 1, pattern_idx, &next, trail);
-      trail->rels.pop_back();
-      used_rels_.erase(rid);
+      const bool live = filter_live_;
+      Status s;
+      if (FilterAdmits(path, rid)) {
+        used_rels_.insert(rid);
+        trail->rels.push_back(rid);
+        s = MatchNode(path, node_idx + 1, pattern_idx, &next, trail);
+        trail->rels.pop_back();
+        used_rels_.erase(rid);
+      }
+      filter_live_ = live;
       if (bound_here) current_.Erase(rp.variable);
       return s;
     };
@@ -302,15 +329,20 @@ class Matcher {
             if (used_rels_.contains(rid)) return Status::OK();
             SERAPH_ASSIGN_OR_RETURN(bool ok, RelSatisfies(rid, rp));
             if (!ok) return Status::OK();
-            used_rels_.insert(rid);
-            rel_values.push_back(Value::Relationship(rid));
-            trail->rels.push_back(rid);
-            trail->nodes.push_back(other);
-            Status s = expand(other, depth + 1);
-            trail->nodes.pop_back();
-            trail->rels.pop_back();
-            rel_values.pop_back();
-            used_rels_.erase(rid);
+            const bool live = filter_live_;
+            Status s;
+            if (FilterAdmits(path, rid)) {
+              used_rels_.insert(rid);
+              rel_values.push_back(Value::Relationship(rid));
+              trail->rels.push_back(rid);
+              trail->nodes.push_back(other);
+              s = expand(other, depth + 1);
+              trail->nodes.pop_back();
+              trail->rels.pop_back();
+              rel_values.pop_back();
+              used_rels_.erase(rid);
+            }
+            filter_live_ = live;
             return s;
           });
     };
@@ -554,6 +586,34 @@ class Matcher {
     return true;
   }
 
+  // Tests `rid`, the next relationship of `path`'s trail, against the
+  // pushed-down path filter. False prunes the branch. Anything the
+  // post-filter would not also read as a definite false — an error, a
+  // non-boolean verdict, a read variable not bound yet — admits `rid` and
+  // clears filter_live_ for the rest of the trail (callers restore it on
+  // unwind): a later false must not hide this element's outcome.
+  bool FilterAdmits(const PathPattern& path, RelId rid) {
+    if (&path != filtered_ || !filter_live_) return true;
+    for (const std::string& name : filter_->reads) {
+      if (!current_.Has(name)) {
+        filter_live_ = false;
+        return true;
+      }
+    }
+    ctx_.set_record(&current_);
+    ctx_.PushLocal(filter_->element, Value::Relationship(rid));
+    Result<Value> verdict = filter_->predicate->Eval(ctx_);
+    ctx_.PopLocal();
+    if (verdict.ok() && verdict->is_bool() && !verdict->AsBool()) {
+      ++pruned_;
+      return false;
+    }
+    if (!verdict.ok() || !(verdict->is_bool() || verdict->is_null())) {
+      filter_live_ = false;
+    }
+    return true;
+  }
+
   // Applies `fn(rel, other_endpoint)` for each relationship incident to
   // `from` admissible under `direction`.
   Status ForEachIncident(NodeId from, RelDirection direction,
@@ -597,6 +657,13 @@ class Matcher {
   // currently completing (stashed by FinishPath around its recursion).
   std::vector<PathValue>* trails_ = nullptr;
   const PathValue* emitting_trail_ = nullptr;
+  // Optional pushed-down path filter (not owned), the pattern it applies
+  // to, whether it may still prune the trail being expanded, and the
+  // expansions it cut.
+  const PathFilter* filter_ = nullptr;
+  const PathPattern* filtered_ = nullptr;
+  bool filter_live_ = false;
+  int64_t pruned_ = 0;
 };
 
 // The processing order over `views` (identity, or the greedy plan).
@@ -642,19 +709,22 @@ std::optional<std::vector<NodeId>> TopLevelSeeds(
 // used_rels_/clause_rels_ are empty (every DFS branch erases what it
 // inserts on unwind), so per-morsel matchers see identical state, and
 // concatenating their outputs in morsel order — ascending seed order —
-// reproduces the serial bag, content and order. On failure the morsels
-// preceding the first failed one plus that morsel's partial output are
-// kept, which is exactly the serial abort point.
+// reproduces the serial bag, content and order. A pushed-down path
+// filter prunes identically too: its state restarts with every trail. On
+// failure the morsels preceding the first failed one plus that morsel's
+// partial output are kept, which is exactly the serial abort point.
 Status MatchPartitioned(const std::vector<const PathPattern*>& views,
                         const std::vector<size_t>& order,
                         const std::vector<NodeId>& seeds,
                         const PropertyGraph& graph, const Record& input,
                         EvalContext& ctx, std::vector<Record>* out,
-                        const MatchParallelism& par) {
+                        const MatchParallelism& par,
+                        const MatchOptions& options) {
   const size_t morsel_size = std::max<size_t>(par.morsel_size, 1);
   const size_t num_morsels = (seeds.size() + morsel_size - 1) / morsel_size;
   std::vector<std::vector<Record>> morsel_out(num_morsels);
   std::vector<Status> morsel_status(num_morsels, Status::OK());
+  std::vector<int64_t> morsel_pruned(num_morsels, 0);
   const int64_t start_micros = TraceRecorder::NowMicros();
 
   std::vector<std::function<void()>> tasks;
@@ -670,8 +740,10 @@ Status MatchPartitioned(const std::vector<const PathPattern*>& views,
       Matcher matcher(graph, morsel_ctx, views, &morsel_out[m]);
       matcher.set_order(order);
       matcher.set_seed_slice(seeds.data() + begin, seeds.data() + end);
+      matcher.set_path_filter(options.path_filter);
       try {
         morsel_status[m] = matcher.Run(input);
+        morsel_pruned[m] = matcher.pruned();
       } catch (const std::exception& e) {
         morsel_status[m] =
             Status::Internal(std::string("match morsel threw: ") + e.what());
@@ -713,6 +785,8 @@ Status MatchPartitioned(const std::vector<const PathPattern*>& views,
   }
   out->reserve(out->size() + total);
   for (size_t m = 0; m < emit; ++m) {
+    // Prunes of the kept morsels only: the serial abort point's count.
+    if (options.pruned != nullptr) *options.pruned += morsel_pruned[m];
     for (Record& r : morsel_out[m]) out->push_back(std::move(r));
     if (!morsel_status[m].ok()) return morsel_status[m];
   }
@@ -735,14 +809,16 @@ Status MatchViews(const std::vector<const PathPattern*>& views,
     if (seeds.has_value() &&
         seeds->size() >= std::max<size_t>(par->min_seeds, 1)) {
       return MatchPartitioned(views, order, *seeds, graph, input, ctx, out,
-                              *par);
+                              *par, options);
     }
   }
   Matcher matcher(graph, ctx, views, out);
   matcher.set_order(std::move(order));
+  matcher.set_path_filter(options.path_filter);
   const Record* saved = ctx.record();
   Status s = matcher.Run(input);
   ctx.set_record(saved);
+  if (options.pruned != nullptr) *options.pruned += matcher.pruned();
   return s;
 }
 

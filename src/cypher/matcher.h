@@ -22,6 +22,7 @@
 #define SERAPH_CYPHER_MATCHER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,23 @@ struct MatchParallelism {
   std::string query_label;              // "query" arg on spans.
 };
 
+// A relationship predicate checked while one path pattern is expanded:
+// the executor's pushdown of a leading `ALL(e IN relationships(q) WHERE
+// P)` filter (docs/INTERNALS.md, "Path-filter pushdown"). Every
+// relationship pushed onto the trail of the pattern named `path_variable`
+// is tested, in trail order, with `element` bound to it. Only a definite
+// false prunes the branch; null keeps it. An evaluation error, a
+// non-boolean verdict, or a `reads` variable not yet bound keeps the
+// branch and turns pruning off for the rest of that trail, so the
+// post-filter still sees (and raises) exactly what it would have.
+struct PathFilter {
+  std::string path_variable;
+  std::string element;
+  const Expr* predicate = nullptr;  // Not owned.
+  // The variables `predicate` reads other than `element`.
+  std::vector<std::string> reads;
+};
+
 struct MatchOptions {
   // Greedy join-order optimization across the comma-separated patterns of
   // one MATCH clause: patterns whose variables are already bound (by the
@@ -77,6 +95,12 @@ struct MatchOptions {
   // a spec from EvalContext::match_parallelism when one is set there).
   // The spec must outlive the call.
   const MatchParallelism* parallel = nullptr;
+  // Pushed-down path filter (null = none); must outlive the call. The
+  // caller keeps applying the full filter afterwards — pruning only
+  // removes matches that filter would drop.
+  const PathFilter* path_filter = nullptr;
+  // Incremented by the number of expansions path_filter cut (optional).
+  int64_t* pruned = nullptr;
 };
 
 // Appends to `out` every record extending `input` with bindings for the

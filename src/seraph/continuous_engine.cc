@@ -76,6 +76,8 @@ struct QueryMetricHandles {
   // worker via MatchParallelism — see cypher/matcher.h).
   Counter* match_partitions = nullptr;
   Histogram* match_seeds = nullptr;
+  // Expansions cut by the path-filter pushdown (cypher/executor.cc).
+  Counter* match_pruned = nullptr;
   // Emit-latency accounting (docs/INTERNALS.md, "Latency accounting &
   // lag"): ingest→emit latency of each covered element, plus the
   // per-stage breakdown. Written only by the coordinator in
@@ -197,6 +199,7 @@ QueryMetricHandles MakeQueryMetrics(MetricsRegistry* registry,
       registry->CounterFor("seraph_match_partitions_total", q);
   m.match_seeds =
       registry->HistogramFor("seraph_match_seed_candidates", q);
+  m.match_pruned = registry->CounterFor("seraph_match_pruned_total", q);
   m.emit_latency = registry->HistogramFor("seraph_emit_latency_micros", q);
   auto lat_stage = [&](const char* name) {
     return registry->HistogramFor("seraph_emit_stage_micros",
@@ -1077,6 +1080,7 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   //    query cannot observe the evaluation instant.
   Table current;
   bool reused = false;
+  ExecutionStats exec_stats;  // Filled by a full execution only.
   if (options_.reuse_unchanged_windows && state->content_deterministic &&
       state->has_previous && all_ranges_unchanged) {
     current = state->previous_result;
@@ -1180,7 +1184,9 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
       SingleQuery single;
       single.clauses = std::move(state->query.clauses);
       single.ret.body = std::move(state->query.projection);
-      auto result = ExecuteSingleQuery(single, resolver, Table::Unit(), exec);
+      auto result = ExecuteSingleQuery(single, resolver, Table::Unit(), exec,
+                                       &exec_stats);
+      state->metrics.match_pruned->Increment(exec_stats.pruned);
       state->query.clauses = std::move(single.clauses);
       state->query.projection = std::move(single.ret.body);
       if (!result.ok()) return result.status();
@@ -1200,10 +1206,13 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   state->stats.match_micros += match_micros;
   state->metrics.stage_match->Record(match_micros);
   if (tracer != nullptr) {
+    TraceArgs args = {{"query", state->query.name},
+                      {"rows", std::to_string(current.size())}};
+    if (!reused) {
+      args.emplace_back("pushdown", exec_stats.pushdown ? "1" : "0");
+    }
     tracer->AddComplete(reused ? "reuse" : "match", "engine", windows_end,
-                        match_micros,
-                        {{"query", state->query.name},
-                         {"rows", std::to_string(current.size())}});
+                        match_micros, std::move(args));
   }
 
   // 3. Apply the report policy.

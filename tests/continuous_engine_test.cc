@@ -5,8 +5,11 @@
 
 #include <random>
 
+#include "common/trace.h"
 #include "graph/graph_builder.h"
 #include "seraph/continuous_engine.h"
+#include "workloads/bike_sharing.h"
+#include "workloads/pole.h"
 
 namespace seraph {
 namespace {
@@ -467,6 +470,69 @@ TEST(ContinuousEngineTest, DrainProcessesToLastElement) {
   ASSERT_TRUE(engine.Drain().ok());
   // ET due by 18: 5, 10, 15.
   EXPECT_EQ(sink.ResultsFor("q").size(), 3u);
+}
+
+// The "pushdown" arg of every fresh `match` span recorded for `query`.
+std::vector<std::string> PushdownArgs(const TraceRecorder& recorder,
+                                      const std::string& query) {
+  std::vector<std::string> out;
+  for (const auto& event : recorder.events()) {
+    if (event.name != "match") continue;
+    std::string name, pushdown;
+    for (const auto& [key, value] : event.args) {
+      if (key == "query") name = value;
+      if (key == "pushdown") pushdown = value;
+    }
+    if (name == query) out.push_back(pushdown);
+  }
+  return out;
+}
+
+TEST(ContinuousEngineTest, PathFilterPushdownIsObservable) {
+  // Listing 5 (student_trick) has the eligible shape: its ALL filter is
+  // pushed into the *3.. expansion and cuts branches. crime_watch has no
+  // path filter: it must never prune.
+  TraceRecorder recorder;
+  recorder.Enable();
+  EngineOptions options;
+  options.tracer = &recorder;
+  ContinuousEngine bikes(options);
+  ASSERT_TRUE(bikes.RegisterText(workloads::RunningExampleSeraphQuery()).ok());
+  for (const auto& event : workloads::BuildRunningExampleStream()) {
+    ASSERT_TRUE(bikes.Ingest(event.graph, event.timestamp).ok());
+  }
+  ASSERT_TRUE(bikes.Drain().ok());
+  const Counter* pruned = bikes.metrics().FindCounter(
+      "seraph_match_pruned_total", {{"query", "student_trick"}});
+  ASSERT_NE(pruned, nullptr);
+  EXPECT_GT(pruned->value(), 0);
+  std::vector<std::string> args = PushdownArgs(recorder, "student_trick");
+  ASSERT_FALSE(args.empty());
+  for (const std::string& arg : args) EXPECT_EQ(arg, "1");
+
+  recorder.Clear();
+  workloads::PoleConfig config;
+  config.num_events = 12;
+  config.crime_probability = 0.5;
+  ContinuousEngine crimes(options);
+  CollectingSink sink;
+  crimes.AddSink(&sink);
+  ASSERT_TRUE(crimes
+                  .RegisterText(workloads::CrimeInvestigationSeraphQuery(
+                      config.start + config.event_period))
+                  .ok());
+  for (const auto& event : workloads::GeneratePoleStream(config)) {
+    ASSERT_TRUE(crimes.Ingest(event.graph, event.timestamp).ok());
+  }
+  ASSERT_TRUE(crimes.Drain().ok());
+  ASSERT_FALSE(sink.ResultsFor("crime_watch").entries().empty());
+  const Counter* none = crimes.metrics().FindCounter(
+      "seraph_match_pruned_total", {{"query", "crime_watch"}});
+  ASSERT_NE(none, nullptr);
+  EXPECT_EQ(none->value(), 0);
+  args = PushdownArgs(recorder, "crime_watch");
+  ASSERT_FALSE(args.empty());
+  for (const std::string& arg : args) EXPECT_EQ(arg, "0");
 }
 
 }  // namespace

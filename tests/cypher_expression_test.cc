@@ -269,6 +269,20 @@ TEST_F(ExpressionTest, Quantifiers) {
   EXPECT_EQ(Eval("ANY(i IN [1, nul] WHERE i = 1)"), Value::Bool(true));
 }
 
+TEST_F(ExpressionTest, QuantifierNonBooleanPredicateIsError) {
+  // A non-boolean predicate is a type error, not a process abort.
+  Status s = EvalError("ANY(i IN [1] WHERE i)");
+  EXPECT_EQ(s.code(), StatusCode::kEvaluationError);
+  EXPECT_NE(s.message().find("quantifier predicate must be boolean"),
+            std::string::npos);
+  EXPECT_EQ(EvalError("ALL(i IN [1, 2] WHERE 'yes')").code(),
+            StatusCode::kEvaluationError);
+  // A definite false before the bad element still decides ALL.
+  EXPECT_EQ(Eval("ALL(i IN [1, 2] WHERE CASE i WHEN 1 THEN false ELSE i END)"),
+            Value::Bool(false));
+  EXPECT_TRUE(Eval("ALL(i IN [nul] WHERE i)").is_null());
+}
+
 TEST_F(ExpressionTest, CaseExpressions) {
   EXPECT_EQ(Eval("CASE WHEN x > 5 THEN 'big' ELSE 'small' END"),
             Value::String("big"));

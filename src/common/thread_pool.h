@@ -112,6 +112,10 @@ class ThreadPool {
   // fallback of 1 when the hardware cannot be queried).
   static int ResolveThreads(int requested);
 
+  // Upper bound on a configured thread count: tools reject larger
+  // --threads values and environment mirrors instead of starting them.
+  static constexpr int kMaxThreads = 4096;
+
  private:
   void WorkerLoop(int worker_id);
 

@@ -296,43 +296,20 @@ void ContinuousEngine::UpdateLagGauges() {
 ContinuousEngine::~ContinuousEngine() = default;
 
 void ContinuousEngine::AddSink(EmitSink* sink) {
-  AddSink(sink, "sink" + std::to_string(sinks_.size()), SinkPolicy{});
+  sinks_.Add(sink, "sink" + std::to_string(sinks_.size()), SinkPolicy{});
 }
 
 void ContinuousEngine::AddSink(EmitSink* sink, std::string name,
                                SinkPolicy policy) {
-  SinkState state;
-  state.sink = sink;
-  state.name = std::move(name);
-  state.policy = policy;
-  const MetricLabels labels{{"sink", state.name}};
-  state.deliveries =
-      metrics_.CounterFor("seraph_sink_deliveries_total", labels);
-  state.failures = metrics_.CounterFor("seraph_sink_failures_total", labels);
-  state.retries = metrics_.CounterFor("seraph_sink_retries_total", labels);
-  state.dead_lettered =
-      metrics_.CounterFor("seraph_sink_dead_lettered_total", labels);
-  state.quarantined_gauge =
-      metrics_.GaugeFor("seraph_sink_quarantined", labels);
-  sinks_.push_back(std::move(state));
+  sinks_.Add(sink, std::move(name), policy);
 }
 
 bool ContinuousEngine::SinkQuarantined(const std::string& name) const {
-  for (const SinkState& state : sinks_) {
-    if (state.name == name) return state.quarantined;
-  }
-  return false;
+  return sinks_.Quarantined(name);
 }
 
 Status ContinuousEngine::ReviveSink(const std::string& name) {
-  for (SinkState& state : sinks_) {
-    if (state.name != name) continue;
-    state.quarantined = false;
-    state.consecutive_failures = 0;
-    state.quarantined_gauge->Set(0);
-    return Status::OK();
-  }
-  return Status::NotFound("sink '" + name + "' is not registered");
+  return sinks_.Revive(name);
 }
 
 bool ContinuousEngine::QueryDisabled(const std::string& name) const {
@@ -354,10 +331,46 @@ Status ContinuousEngine::ReviveQuery(const std::string& name) {
   return Status::OK();
 }
 
-void ContinuousEngine::DeliverToSinks(const std::string& query_name,
-                                      Timestamp t,
-                                      const TimeAnnotatedTable& annotated) {
-  for (SinkState& state : sinks_) {
+void SinkSet::Add(EmitSink* sink, std::string name, SinkPolicy policy) {
+  State state;
+  state.sink = sink;
+  state.name = std::move(name);
+  state.policy = policy;
+  const MetricLabels labels{{"sink", state.name}};
+  state.deliveries =
+      metrics_->CounterFor(family_ + "_deliveries_total", labels);
+  state.failures = metrics_->CounterFor(family_ + "_failures_total", labels);
+  state.retries = metrics_->CounterFor(family_ + "_retries_total", labels);
+  state.dead_lettered =
+      metrics_->CounterFor(family_ + "_dead_lettered_total", labels);
+  state.quarantined_gauge =
+      metrics_->GaugeFor(family_ + "_quarantined", labels);
+  sinks_.push_back(std::move(state));
+}
+
+bool SinkSet::Quarantined(const std::string& name) const {
+  for (const State& state : sinks_) {
+    if (state.name == name) return state.quarantined;
+  }
+  return false;
+}
+
+Status SinkSet::Revive(const std::string& name) {
+  for (State& state : sinks_) {
+    if (state.name != name) continue;
+    state.quarantined = false;
+    state.consecutive_failures = 0;
+    state.quarantined_gauge->Set(0);
+    return Status::OK();
+  }
+  return Status::NotFound("sink '" + name + "' is not registered");
+}
+
+int SinkSet::Deliver(const std::string& query_name, Timestamp t,
+                     const TimeAnnotatedTable& annotated,
+                     DeadLetterQueue* dead_letter) {
+  int lost = 0;
+  for (State& state : sinks_) {
     if (state.quarantined) continue;
     Status status;
     int attempts = 0;
@@ -369,8 +382,8 @@ void ContinuousEngine::DeliverToSinks(const std::string& query_name,
       state.retries->Increment();
       // The backoff delay is deterministic and accounted, not slept: the
       // engine runs in simulated time (see common/fault.h).
-      metrics_.CounterFor("seraph_sink_backoff_millis_total",
-                          {{"sink", state.name}})
+      metrics_->CounterFor(family_ + "_backoff_millis_total",
+                           {{"sink", state.name}})
           ->Increment(state.policy.retry.DelayMillisFor(attempts));
     }
     if (status.ok()) {
@@ -381,11 +394,12 @@ void ContinuousEngine::DeliverToSinks(const std::string& query_name,
     // Retries exhausted or the error was permanent: this delivery is
     // lost to the sink — capture it, count it, and keep everything else
     // running (sink isolation).
+    ++lost;
     state.failures->Increment();
     ++state.consecutive_failures;
-    if (options_.dead_letter != nullptr) {
-      options_.dead_letter->AddSinkResult(state.name, query_name, t,
-                                          annotated, status, attempts);
+    if (dead_letter != nullptr) {
+      dead_letter->AddSinkResult(state.name, query_name, t, annotated, status,
+                                 attempts);
       state.dead_lettered->Increment();
     }
     SERAPH_LOG(WARNING) << "sink '" << state.name << "' rejected result of '"
@@ -399,6 +413,7 @@ void ContinuousEngine::DeliverToSinks(const std::string& query_name,
                         << " consecutive failures";
     }
   }
+  return lost;
 }
 
 PropertyGraphStream* ContinuousEngine::MutableStream(
@@ -1271,9 +1286,9 @@ void ContinuousEngine::FinishDelivery(QueryState* state, Timestamp t,
   // gap between a worker finishing stage 3 and the coordinator getting
   // here, and that gap is not sink time.
   const int64_t sink_start = TraceRecorder::NowMicros();
-  // Sink failures are isolated inside DeliverToSinks (retry →
+  // Sink failures are isolated inside SinkSet::Deliver (retry →
   // dead-letter → quarantine) and never fail the evaluation.
-  DeliverToSinks(state->query.name, t, out.annotated);
+  sinks_.Deliver(state->query.name, t, out.annotated, options_.dead_letter);
   const int64_t sink_end = TraceRecorder::NowMicros();
   const int64_t sink_micros = sink_end - sink_start;
   state->stats.sink_micros += sink_micros;
@@ -1378,7 +1393,8 @@ int ThreadsFromEnvVar(const char* name, int fallback) {
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
   const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 0 || value > 4096) {
+  if (end == raw || *end != '\0' || value < 0 ||
+      value > ThreadPool::kMaxThreads) {
     return fallback;
   }
   return static_cast<int>(value);
@@ -1392,15 +1408,6 @@ int EvalThreadsFromEnv(int fallback) {
 
 int MatchThreadsFromEnv(int fallback) {
   return ThreadsFromEnvVar("SERAPH_MATCH_THREADS", fallback);
-}
-
-int64_t EvalDeadlineMillisFromEnv(int64_t fallback) {
-  const char* raw = std::getenv("SERAPH_EVAL_DEADLINE_MS");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 0) return fallback;
-  return static_cast<int64_t>(value);
 }
 
 }  // namespace seraph

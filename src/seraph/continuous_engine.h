@@ -184,6 +184,54 @@ struct SinkPolicy {
   int quarantine_after = 5;
 };
 
+// The sink isolation path (docs/INTERNALS.md, "Failure model") shared by
+// ContinuousEngine and the sharded coordinator's merged output: each sink
+// is retried per its policy, its permanently rejected results go to a
+// dead-letter queue, and after `quarantine_after` consecutive failures it
+// is quarantined, without ever blocking the other sinks.
+class SinkSet {
+ public:
+  // Per-sink series are `<family>_deliveries_total{sink=...}` and so on,
+  // registered in `metrics` (not owned).
+  explicit SinkSet(MetricsRegistry* metrics,
+                   std::string family = "seraph_sink")
+      : metrics_(metrics), family_(std::move(family)) {}
+
+  // Not owned; delivery follows registration order.
+  void Add(EmitSink* sink, std::string name, SinkPolicy policy);
+  size_t size() const { return sinks_.size(); }
+  // False for unknown names.
+  bool Quarantined(const std::string& name) const;
+  // Lifts a quarantine and resets the failure streak.
+  Status Revive(const std::string& name);
+  // Delivers one result to every live sink. Deliveries that exhaust
+  // their retries land in `dead_letter` when it is non-null. Returns the
+  // number of sinks that lost this result.
+  int Deliver(const std::string& query_name, Timestamp t,
+              const TimeAnnotatedTable& annotated,
+              DeadLetterQueue* dead_letter);
+
+ private:
+  // One registered sink plus its isolation state and cached metric
+  // handles (resolved once at Add).
+  struct State {
+    EmitSink* sink = nullptr;
+    std::string name;
+    SinkPolicy policy;
+    int consecutive_failures = 0;
+    bool quarantined = false;
+    Counter* deliveries = nullptr;
+    Counter* failures = nullptr;
+    Counter* retries = nullptr;
+    Counter* dead_lettered = nullptr;
+    Gauge* quarantined_gauge = nullptr;
+  };
+
+  MetricsRegistry* metrics_;
+  std::string family_;
+  std::vector<State> sinks_;
+};
+
 // Per-query execution counters, including the per-stage cost breakdown of
 // the Fig. 5 pipeline. The same numbers (plus latency distributions) are
 // exported through the engine's MetricsRegistry; QueryStats is the cheap
@@ -422,21 +470,6 @@ class ContinuousEngine {
  private:
   struct QueryState;
 
-  // One registered sink plus its isolation state and cached metric
-  // handles (resolved once at AddSink).
-  struct SinkState {
-    EmitSink* sink = nullptr;
-    std::string name;
-    SinkPolicy policy;
-    int consecutive_failures = 0;
-    bool quarantined = false;
-    Counter* deliveries = nullptr;
-    Counter* failures = nullptr;
-    Counter* retries = nullptr;
-    Counter* dead_lettered = nullptr;
-    Gauge* quarantined_gauge = nullptr;
-  };
-
   // The computed-but-undelivered output of one evaluation: workers
   // produce these, the coordinator delivers them sequentially.
   struct PendingDelivery {
@@ -491,10 +524,6 @@ class ContinuousEngine {
   // Query-isolation bookkeeping for one failed evaluation (coordinator
   // thread): stats, metrics, dead-letter capture, error-budget disable.
   void HandleEvalFailure(QueryState* state, Timestamp t, Status error);
-  // Delivers one result to every live sink with per-sink retry /
-  // dead-letter / quarantine handling; never fails the evaluation.
-  void DeliverToSinks(const std::string& query_name, Timestamp t,
-                      const TimeAnnotatedTable& annotated);
   // Coordinator-side emit-latency accounting for one delivered
   // evaluation: advances the query's per-stream latency cursors over the
   // elements newly covered at `t` and records arrival→now into the
@@ -518,7 +547,7 @@ class ContinuousEngine {
   std::map<std::string, PropertyGraphStream> streams_;
   std::shared_ptr<const PropertyGraph> static_graph_;
   std::map<std::string, std::unique_ptr<QueryState>> queries_;
-  std::vector<SinkState> sinks_;
+  SinkSet sinks_{&metrics_};
   Timestamp clock_;
   bool clock_started_ = false;
   int64_t evaluations_run_ = 0;
@@ -551,12 +580,6 @@ int EvalThreadsFromEnv(int fallback);
 
 // Same contract for SERAPH_MATCH_THREADS (intra-query parallel matching).
 int MatchThreadsFromEnv(int fallback);
-
-// The value of SERAPH_EVAL_DEADLINE_MS (a non-negative millisecond
-// count; 0 = no deadline), or `fallback` when unset or malformed — the
-// environment mirror of EngineOptions::eval_deadline_millis /
-// `--eval-deadline-ms`.
-int64_t EvalDeadlineMillisFromEnv(int64_t fallback);
 
 }  // namespace seraph
 

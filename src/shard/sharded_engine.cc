@@ -17,6 +17,11 @@ namespace shard {
 
 namespace {
 
+// Elements each lane driver fetches per poll.
+constexpr size_t kPollBatch = 64;
+// Checkpoint generations retained per shard.
+constexpr int kCheckpointKeep = 2;
+
 // "ingest-<sanitized>-<hash>.log": readable for humans, collision-safe
 // for streams whose names only differ in escaped characters.
 std::string IngestLogFileName(const std::string& stream) {
@@ -42,20 +47,28 @@ std::string StreamLabel(const std::string& stream) {
 
 // Buffers one shard's emissions for the coordinator merge. Runs on the
 // coordinator thread (driver pumps are coordinator-driven), so plain
-// deque access is safe.
+// deque access is safe. A one-shard fleet has nothing to merge: its
+// watermark is the fleet watermark and its engine emits in (t, query)
+// order, so each emission is released as it is made, without the table
+// copy a held-back emission costs.
 class ShardedEngine::BufferSink final : public EmitSink {
  public:
-  BufferSink(std::deque<PendingEmit>* buffer, int shard_index)
-      : buffer_(buffer), shard_(shard_index) {}
+  BufferSink(ShardedEngine* fleet, int shard_index)
+      : fleet_(fleet), shard_(shard_index) {}
 
   Status OnResult(const std::string& query_name, Timestamp evaluation_time,
                   const TimeAnnotatedTable& table) override {
-    buffer_->push_back(PendingEmit{evaluation_time, query_name, shard_, table});
+    if (fleet_->num_shards() == 1) {
+      fleet_->Release(query_name, evaluation_time, table, shard_);
+    } else {
+      fleet_->shards_[static_cast<size_t>(shard_)]->buffered.push_back(
+          PendingEmit{evaluation_time, query_name, shard_, table});
+    }
     return Status::OK();
   }
 
  private:
-  std::deque<PendingEmit>* buffer_;
+  ShardedEngine* fleet_;
   int shard_;
 };
 
@@ -73,7 +86,9 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     engine_options.dead_letter = &shard->dead_letters;
     engine_options.checkpoint_every = durable() ? options_.checkpoint_every : 0;
     shard->engine = std::make_unique<ContinuousEngine>(engine_options);
-    shard->sink = std::make_unique<BufferSink>(&shard->buffered, i);
+    shard->dead_letters.BindDepthGauge(
+        shard->engine->metrics().GaugeFor("seraph_dead_letter_depth"));
+    shard->sink = std::make_unique<BufferSink>(this, i);
     shard->engine->AddSink(shard->sink.get(), "shard-buffer");
     const std::string label = std::to_string(i);
     shard->watermark_gauge =
@@ -85,7 +100,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     if (durable()) {
       persist::CheckpointOptions checkpoint_options;
       checkpoint_options.dir = ShardDir(i);
-      checkpoint_options.keep = options_.checkpoint_keep;
+      checkpoint_options.keep = kCheckpointKeep;
       checkpoint_options.fsync = options_.checkpoint_fsync;
       shard->manager =
           std::make_unique<persist::CheckpointManager>(checkpoint_options);
@@ -117,7 +132,8 @@ ShardedEngine::Lane* ShardedEngine::EnsureLane(int shard_index,
     StreamDriver::Options driver_options;
     driver_options.consumer = lane->consumer;
     driver_options.target_stream = stream;
-    driver_options.poll_batch = options_.poll_batch;
+    driver_options.poll_batch = kPollBatch;
+    driver_options.shed_lag_millis = options_.shed_lag_millis;
     driver_options.dead_letter = &shard->dead_letters;
     // Lane drivers deliver only; the coordinator owns the shard clock
     // (PumpShard advances it once per pump, to the shard watermark), so
@@ -346,7 +362,18 @@ std::string ShardedEngine::QueriesStatusJson() const {
   return os.str();
 }
 
-void ShardedEngine::AddSink(EmitSink* sink) { sinks_.push_back(sink); }
+void ShardedEngine::AddSink(EmitSink* sink) {
+  sinks_.Add(sink, "sink" + std::to_string(sinks_.size()), SinkPolicy{});
+}
+
+void ShardedEngine::AddSink(EmitSink* sink, std::string name,
+                            SinkPolicy policy) {
+  sinks_.Add(sink, std::move(name), policy);
+}
+
+bool ShardedEngine::SinkQuarantined(const std::string& name) const {
+  return sinks_.Quarantined(name);
+}
 
 Result<int> ShardedEngine::Ingest(std::shared_ptr<const PropertyGraph> graph,
                                   Timestamp timestamp) {
@@ -390,12 +417,29 @@ Status ShardedEngine::ProduceWithBackpressure(
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     status = lane->queue->Produce(graph, timestamp);
     if (status.ok() || !status.IsTransient()) return status;
+    ++producer_retries_;
     // Backpressure: drain only this shard's lanes so retention can trim
-    // the queue — the other shards keep running untouched. No clock
-    // advance here: the element being produced may share its timestamp
-    // with an already-queued sibling, and advancing now would evaluate
-    // that instant before this element arrives.
-    SERAPH_RETURN_IF_ERROR(PumpShard(shard_index, /*advance=*/false));
+    // the queue — the other shards keep running untouched. A durable lane
+    // trims only below the checkpoint horizon, which moves only when a
+    // batch barrier commits, so the pump also advances the clock when the
+    // refused element is strictly newer than the shard watermark: then no
+    // equal-timestamp sibling can still be pending. Otherwise advancing
+    // would evaluate that instant before this element arrives.
+    const Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
+    const bool advance = shard->any_ingested &&
+                         timestamp.millis() > shard->watermark_millis;
+    SERAPH_RETURN_IF_ERROR(PumpShard(shard_index, advance));
+    // Nothing else drains a lane, so a pump that freed no slot means no
+    // retry (or block) can succeed: the queue holds more than one
+    // checkpoint interval's worth of elements.
+    lane->queue->TrimCommitted();
+    if (lane->queue->depth() >= lane->queue->options().capacity) {
+      return Status::Unavailable(
+          status.message() +
+          "; the lane cannot free a slot before the next checkpoint "
+          "(raise the queue capacity, checkpoint more often, or shed "
+          "with overflow policy shed_oldest)");
+    }
   }
   return status;
 }
@@ -515,13 +559,18 @@ void ShardedEngine::MergeAndRelease(bool flush_all) {
               return a.shard < b.shard;
             });
   for (const PendingEmit& emit : ready) {
-    for (EmitSink* sink : sinks_) {
-      Status status = sink->OnResult(emit.query, emit.t, emit.table);
-      if (!status.ok()) sink_failures_->Increment();
-    }
+    Release(emit.query, emit.t, emit.table, emit.shard);
   }
-  released_total_ += static_cast<int64_t>(ready.size());
-  released_counter_->Increment(static_cast<int64_t>(ready.size()));
+}
+
+void ShardedEngine::Release(const std::string& query, Timestamp t,
+                            const TimeAnnotatedTable& table, int shard) {
+  // A lost result is dead-lettered on the shard that emitted it.
+  DeadLetterQueue* dead_letters =
+      &shards_[static_cast<size_t>(shard)]->dead_letters;
+  sink_failures_->Increment(sinks_.Deliver(query, t, table, dead_letters));
+  ++released_total_;
+  released_counter_->Increment();
 }
 
 void ShardedEngine::RefreshGauges() {
@@ -566,6 +615,36 @@ const ContinuousEngine* ShardedEngine::shard_engine(int shard_index) const {
   return shards_[static_cast<size_t>(shard_index)]->engine.get();
 }
 
+const DeadLetterQueue& ShardedEngine::dead_letters(int shard_index) const {
+  return shards_.at(static_cast<size_t>(shard_index))->dead_letters;
+}
+
+size_t ShardedEngine::ingested_elements() const {
+  size_t most = 0;
+  for (const auto& shard : shards_) {
+    for (const auto& [stream, lane] : shard->lanes) {
+      most = std::max(most, lane->queue->size());
+    }
+  }
+  return most;
+}
+
+ShardedEngine::LaneTotals ShardedEngine::Totals() const {
+  LaneTotals totals;
+  totals.producer_retries = producer_retries_;
+  for (const auto& shard : shards_) {
+    totals.dead_letters += static_cast<int64_t>(shard->dead_letters.size());
+    for (const auto& [stream, lane] : shard->lanes) {
+      totals.delivered += lane->driver->delivered_total();
+      totals.shed += lane->queue->shed_total() + lane->driver->shed_total();
+      totals.rejected += lane->queue->rejected_total();
+      totals.trimmed += lane->queue->trimmed_total();
+      totals.degraded_entries += lane->driver->degraded_entries();
+    }
+  }
+  return totals;
+}
+
 Status ShardedEngine::Checkpoint() {
   if (!durable()) {
     return Status::InvalidArgument(
@@ -581,16 +660,40 @@ Status ShardedEngine::Checkpoint() {
   return Status::OK();
 }
 
-Status ShardedEngine::ReplayIngestLog(int shard_index, Lane* lane) {
-  if (lane->log_path.empty()) return Status::OK();
-  std::ifstream is(lane->log_path);
-  if (!is.is_open()) return Status::OK();  // Nothing durably ingested yet.
-  SERAPH_ASSIGN_OR_RETURN(std::vector<StreamElement> events,
-                          io::ReadEventLog(&is));
-  for (const StreamElement& event : events) {
-    SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(shard_index, lane,
-                                                   event.graph,
-                                                   event.timestamp));
+Status ShardedEngine::ReplayIngestLogs(int shard_index) {
+  Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
+  std::vector<std::pair<Lane*, std::vector<StreamElement>>> logs;
+  // Replay starts at the newest element any lane's restored offset already
+  // covers: the restored (drained) clock never passes it, so a refused
+  // produce below may advance the clock to the watermark and commit, as a
+  // live one does. A log line's index is its queue offset (every life
+  // re-produces the whole log into a fresh queue).
+  shard->watermark_millis = 0;
+  shard->any_ingested = false;
+  for (auto& [stream, lane] : shard->lanes) {
+    if (lane->log_path.empty()) continue;
+    std::ifstream is(lane->log_path);
+    if (!is.is_open()) continue;  // Nothing durably ingested yet.
+    SERAPH_ASSIGN_OR_RETURN(std::vector<StreamElement> events,
+                            io::ReadEventLog(&is));
+    const size_t covered = std::min(
+        events.size(), lane->queue->OffsetOf(lane->consumer).value_or(0));
+    for (size_t i = 0; i < covered; ++i) {
+      shard->watermark_millis =
+          std::max(shard->watermark_millis, events[i].timestamp.millis());
+      shard->any_ingested = true;
+    }
+    logs.emplace_back(lane.get(), std::move(events));
+  }
+  for (auto& [lane, events] : logs) {
+    for (const StreamElement& event : events) {
+      SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(shard_index, lane,
+                                                     event.graph,
+                                                     event.timestamp));
+      shard->watermark_millis =
+          std::max(shard->watermark_millis, event.timestamp.millis());
+      shard->any_ingested = true;
+    }
   }
   return Status::OK();
 }
@@ -612,28 +715,26 @@ Status ShardedEngine::Restore() {
     } else {
       SERAPH_RETURN_IF_ERROR(persist::RestoreEngine(*image,
                                                     shard->engine.get()));
+      // The generation on disk is the restored one until the next commit.
+      shard->engine->metrics()
+          .GaugeFor("seraph_checkpoint_last_seq")
+          ->Set(static_cast<int64_t>(image->seq));
       // Complete the interrupted evaluation batch before any replay (the
       // RestoreEngine contract).
       SERAPH_RETURN_IF_ERROR(shard->engine->Drain());
       for (auto& [stream, lane] : shard->lanes) {
         SERAPH_RETURN_IF_ERROR(persist::RestoreConsumer(
             *image, lane->consumer, lane->queue.get()));
+        // The restored generation covers everything below the restored
+        // offset, so the replay below trims that prefix as it lands and a
+        // bounded lane never fills with elements it will not read again.
+        lane->queue->SetCheckpointHorizon(
+            lane->queue->OffsetOf(lane->consumer).value_or(0));
       }
       SERAPH_RETURN_IF_ERROR(
           persist::RestoreDeadLetters(*image, &shard->dead_letters));
     }
-    for (auto& [stream, lane] : shard->lanes) {
-      SERAPH_RETURN_IF_ERROR(ReplayIngestLog(i, lane.get()));
-    }
-    int64_t watermark = 0;
-    bool any = false;
-    for (const auto& [stream, lane] : shard->lanes) {
-      if (lane->queue->size() == 0) continue;
-      watermark = std::max(watermark, lane->queue->MaxTimestamp().millis());
-      any = true;
-    }
-    shard->watermark_millis = watermark;
-    shard->any_ingested = any;
+    SERAPH_RETURN_IF_ERROR(ReplayIngestLogs(i));
   }
   RefreshGauges();
   return Status::OK();

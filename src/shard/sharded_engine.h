@@ -26,6 +26,8 @@
 // slowest shard's delivered horizon — passes their evaluation time, so
 // merged order never depends on pump interleaving. Finish() (and
 // Checkpoint()) flush the buffers, releasing everything in merged order.
+// A one-shard fleet holds nothing back: its watermark is the fleet
+// watermark, so each emission is delivered as its engine makes it.
 #ifndef SERAPH_SHARD_SHARDED_ENGINE_H_
 #define SERAPH_SHARD_SHARDED_ENGINE_H_
 
@@ -58,15 +60,15 @@ struct ShardedEngineOptions {
   EngineOptions engine;
   // Per-lane ingest queue bound + overflow policy.
   EventQueue::Options queue;
-  // Elements fetched per driver poll.
-  size_t poll_batch = 64;
+  // Lane drivers' degraded-mode threshold in event-time millis
+  // (StreamDriver::Options::shed_lag_millis; 0 = off).
+  int64_t shed_lag_millis = 0;
   // Durability root; empty = in-memory only. Shard i's checkpoint
-  // generations live in <checkpoint_dir>/shard-<i>, alongside per-lane
-  // ingest event logs (ingest-<stream>.log) that Restore() replays to
-  // refill the queues, so a serving restart resumes replay-exact.
+  // generations (the newest two are kept) live in
+  // <checkpoint_dir>/shard-<i>, alongside per-lane ingest event logs
+  // (ingest-<stream>.log) that Restore() replays to refill the queues,
+  // so a serving restart resumes replay-exact.
   std::string checkpoint_dir;
-  // Generations retained per shard.
-  int checkpoint_keep = 2;
   bool checkpoint_fsync = true;
   // When > 0 (and checkpoint_dir is set), every shard checkpoints at its
   // own batch barrier each N completed batches — barriers stay
@@ -125,9 +127,15 @@ class ShardedEngine {
   // ---- Sinks ----
 
   // Receives the merged fleet output in deterministic (t, query, shard)
-  // order. Sink failures are counted, never fatal. Not owned; add before
-  // pumping.
+  // order. Not owned; add before pumping. Delivery runs through the
+  // engine's sink isolation (SinkSet: retry → dead-letter → quarantine,
+  // series seraph_fleet_sink_*{sink=...}); a result a sink loses is
+  // dead-lettered on the shard that emitted it. The unnamed overload
+  // mirrors ContinuousEngine::AddSink(EmitSink*): no retry, name
+  // "sink<index>".
   void AddSink(EmitSink* sink);
+  void AddSink(EmitSink* sink, std::string name, SinkPolicy policy = {});
+  bool SinkQuarantined(const std::string& name) const;
 
   // ---- Ingest + evaluation ----
 
@@ -187,6 +195,27 @@ class ShardedEngine {
   int64_t FleetWatermarkMillis() const;
   // Merged emissions released to sinks so far.
   int64_t released_total() const { return released_total_; }
+  // Shard i's dead letters: shed and poison elements, failed
+  // evaluations, and results the fleet's sinks lost. Valid index only.
+  const DeadLetterQueue& dead_letters(int shard_index) const;
+  // Elements taken in by the fullest lane. Under the default broadcast
+  // route that is the input prefix already ingested, including, after
+  // Restore(), what the ingest logs replayed: a producer resuming over
+  // the same input skips that many elements.
+  size_t ingested_elements() const;
+
+  // The overload ledger summed over every lane (docs/INTERNALS.md,
+  // "Overload & backpressure"): delivered + shed partitions the input.
+  struct LaneTotals {
+    int64_t delivered = 0;         // Elements lane drivers handed over.
+    int64_t shed = 0;              // Queue evictions + degraded sampling.
+    int64_t rejected = 0;          // Produces the queues refused.
+    int64_t trimmed = 0;           // Retention trims.
+    int64_t degraded_entries = 0;  // Driver switches into degraded mode.
+    int64_t producer_retries = 0;  // Backpressure retries inside Ingest.
+    int64_t dead_letters = 0;      // Entries across the shards' queues.
+  };
+  LaneTotals Totals() const;
 
  private:
   struct Lane {
@@ -240,16 +269,21 @@ class ShardedEngine {
   Status AppendIngestLog(Lane* lane,
                          const std::shared_ptr<const PropertyGraph>& graph,
                          Timestamp timestamp);
-  Status ReplayIngestLog(int shard_index, Lane* lane);
+  // Re-produces every durably ingested element of one shard's lanes.
+  Status ReplayIngestLogs(int shard_index);
   // Drains one shard's lanes into its engine; lane drivers never touch
   // the shard clock, so with `advance` the coordinator then advances it
   // once, to the shard watermark (the single-engine ingest-then-advance
-  // cadence). Backpressure pumps pass false: the element awaiting queue
-  // space may share its timestamp with a queued sibling.
+  // cadence). Backpressure pumps pass true only when the element awaiting
+  // queue space is newer than the shard watermark: otherwise it may share
+  // its timestamp with a queued sibling.
   Status PumpShard(int shard_index, bool advance);
   // Releases buffered emissions: everything when `flush_all`, else those
   // at or below the fleet watermark; delivers in (t, query, shard) order.
   void MergeAndRelease(bool flush_all);
+  // Delivers one emission to the fleet's sinks.
+  void Release(const std::string& query, Timestamp t,
+               const TimeAnnotatedTable& table, int shard);
   void RefreshGauges();
   int HomeShard(const std::string& query_name) const;
   const RouteEntry* FindRoute(const std::string& stream) const;
@@ -258,12 +292,13 @@ class ShardedEngine {
   MetricsRegistry metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<RouteEntry> routes_;
-  std::vector<EmitSink*> sinks_;
+  SinkSet sinks_{&metrics_, "seraph_fleet_sink"};
   std::map<std::string, std::vector<int>> placements_;
   // Query definitions in registration order (what Restore re-registers
   // from; the serving tier's source of truth for definitions).
   std::vector<std::string> query_texts_;
   int64_t released_total_ = 0;
+  int64_t producer_retries_ = 0;
   Counter* dropped_counter_ = nullptr;
   Counter* released_counter_ = nullptr;
   Counter* sink_failures_ = nullptr;

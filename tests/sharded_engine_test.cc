@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -395,6 +396,97 @@ TEST(ShardedEngineTest, CaptureRestoreSplitRunConcatenatesExactly) {
     EXPECT_EQ(got.query, oracle.entries()[i].query) << "entry " << i;
     EXPECT_EQ(got.json, oracle.entries()[i].json) << "entry " << i;
   }
+}
+
+// A durable lane trims only what a checkpoint covers, so a bounded one
+// frees space only when the backpressure pump lets a batch barrier
+// commit. Ingest never pumps here (as in seraph_run), so every refusal
+// goes through ShardedEngine's own backpressure loop.
+TEST(ShardedEngineTest, BoundedDurableLaneIngestsAndRestoresThroughCommits) {
+  const std::string dir = ::testing::TempDir() + "seraph_bounded_lane";
+  std::filesystem::remove_all(dir);
+  auto make_fleet = [&](OrderSink* sink, bool durable, size_t capacity) {
+    ShardedEngineOptions options;
+    if (durable) options.checkpoint_dir = dir;
+    options.checkpoint_fsync = false;
+    options.checkpoint_every = 1;
+    options.queue.capacity = capacity;
+    options.queue.overflow_policy = OverflowPolicy::kReject;
+    auto fleet = std::make_unique<ShardedEngine>(options);
+    fleet->AddSink(sink);
+    EXPECT_TRUE(fleet->RegisterText(CountQuery("q", "")).ok());
+    return fleet;
+  };
+  auto ingest = [](ShardedEngine* fleet, int from, int to) {
+    for (int i = from; i < to; ++i) {
+      ASSERT_TRUE(fleet->Ingest(Item(i + 1), T(1 + 2 * i)).ok()) << i;
+    }
+  };
+  auto expect_same = [](const OrderSink& got, const OrderSink& want) {
+    ASSERT_EQ(got.entries().size(), want.entries().size());
+    for (size_t i = 0; i < want.entries().size(); ++i) {
+      EXPECT_EQ(got.entries()[i].t_millis, want.entries()[i].t_millis);
+      EXPECT_EQ(got.entries()[i].json, want.entries()[i].json) << i;
+    }
+  };
+
+  OrderSink oracle;
+  auto reference = make_fleet(&oracle, /*durable=*/false, 0);
+  ingest(reference.get(), 0, 12);
+  ASSERT_TRUE(reference->Finish().ok());
+  ASSERT_FALSE(oracle.entries().empty());
+
+  // A lane smaller than one checkpoint interval cannot free a slot: the
+  // third element arrives before the first evaluation (00:05) commits.
+  {
+    OrderSink sink;
+    auto small = make_fleet(&sink, /*durable=*/true, 2);
+    ASSERT_TRUE(small->Ingest(Item(1), T(1)).ok());
+    ASSERT_TRUE(small->Ingest(Item(2), T(3)).ok());
+    Result<int> refused = small->Ingest(Item(3), T(5));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.status().message().find("before the next checkpoint"),
+              std::string::npos)
+        << refused.status().ToString();
+  }
+  std::filesystem::remove_all(dir);
+
+  // Live: twelve elements through a four-slot lane (elements come every
+  // 2 min, evaluations every 5 min).
+  OrderSink live_sink;
+  auto live = make_fleet(&live_sink, /*durable=*/true, 4);
+  ingest(live.get(), 0, 12);
+  ASSERT_TRUE(live->Finish().ok());
+  EXPECT_GT(live->Totals().rejected, 0);
+  expect_same(live_sink, oracle);
+  live.reset();
+
+  // Replay: a first life logs six elements and stops before any
+  // evaluation, so nothing is checkpointed; the bounded restore must
+  // replay all six through the four-slot lane, then continue.
+  std::filesystem::remove_all(dir);
+  OrderSink unused;
+  auto first = make_fleet(&unused, /*durable=*/true, 0);
+  ingest(first.get(), 0, 6);
+  first.reset();
+  OrderSink restored_sink;
+  auto restored = make_fleet(&restored_sink, /*durable=*/true, 4);
+  ASSERT_TRUE(restored->Restore().ok());
+  ASSERT_EQ(restored->ingested_elements(), 6u);
+  ingest(restored.get(), 6, 12);
+  ASSERT_TRUE(restored->Finish().ok());
+  EXPECT_TRUE(unused.entries().empty());
+  expect_same(restored_sink, oracle);
+
+  // A bounded restore over the finished run replays the covered prefix
+  // without filling the lane, and has nothing left to emit.
+  restored.reset();
+  OrderSink again_sink;
+  auto again = make_fleet(&again_sink, /*durable=*/true, 4);
+  ASSERT_TRUE(again->Restore().ok());
+  ASSERT_TRUE(again->Finish().ok());
+  EXPECT_TRUE(again_sink.entries().empty());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,36 +1,25 @@
 // seraph_serve — the sharded serving front-end: N per-shard engines
 // behind one HTTP endpoint (docs/INTERNALS.md, "Sharded serving tier").
 //
-//   seraph_serve [--port=<p>] [--shards=<n>] [--queries=<file>]...
-//                [--checkpoint-dir=<dir>] [--checkpoint-every=<n>]
-//                [--queue-capacity=<n>]
-//                [--overflow-policy=<block|reject|shed_oldest>]
-//                [--io-timeout-ms=<n>] [--long-poll-ms=<n>]
-//                [--max-runtime-sec=<n>] [--threads=<n>]
-//                [--match-threads=<n>]
+//   seraph_serve [flags]    (--help lists them)
 //
 // HTTP API (loopback only; one request per connection):
-//   POST /queries                REGISTER QUERY text in the body →
-//                                {"name": ..., "shards": [...]} with the
-//                                placement the query's streams imply.
-//   POST /ingest                 JSON lines, one event per line:
-//                                {"t_ms": <int>, "graph": "<graph text>"}
-//                                (graph text as in io/graph_text.h).
-//                                Events are routed through the fleet's
-//                                partitioners, pumped, and merged;
-//                                responds {"ingested": n, "deliveries": d,
-//                                "watermark_ms": w}.
+//   POST /queries            REGISTER QUERY text in the body → {"name",
+//                            "shards"}: the placement its streams imply.
+//   POST /ingest             JSON lines {"t_ms": <int>, "graph": "<graph
+//                            text of io/graph_text.h>"}, routed through
+//                            the partitioners, pumped and merged → {
+//                            "ingested", "deliveries", "watermark_ms"}.
 //   GET  /queries/<q>/results?after=<seq>
-//                                Long-poll: merged emissions of <q> with
-//                                seq > after; parks until data arrives or
-//                                --long-poll-ms elapses (→ 204).
-//   POST /queries/<q>/revive     Re-enable a disabled query.
-//   GET  /queries                Per-query status JSON (with shard sets).
-//   GET  /metrics                Coordinator registry: fleet watermark,
-//                                per-shard health gauges, router and
-//                                merge counters (Prometheus text).
-//   GET  /shards/<i>/metrics     Shard i's full engine registry.
-//   GET  /healthz                Liveness.
+//                            Long-poll for merged emissions of <q> past
+//                            seq; 204 after --long-poll-ms without any.
+//   POST /queries/<q>/revive Re-enable a disabled query.
+//   GET  /queries            Per-query status JSON (with shard sets).
+//   GET  /metrics            Coordinator registry (fleet watermark,
+//                            shard health, router and merge counters),
+//                            plus the engine registry on one shard.
+//   GET  /shards/<i>/metrics Shard i's engine registry.
+//   GET  /healthz            Liveness.
 //
 // With --checkpoint-dir the fleet checkpoints each shard at its own batch
 // barrier (cadence --checkpoint-every) and auto-restores on startup;
@@ -40,13 +29,9 @@
 // thread, so requests are serialized; the poll loop keeps slow clients
 // from wedging the line (tests/metrics_server_test.cc).
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -55,10 +40,7 @@
 
 #include "io/graph_text.h"
 #include "io/json.h"
-#include "server/metrics_server.h"
-#include "shard/partitioner.h"
-#include "shard/sharded_engine.h"
-#include "stream/overflow_policy.h"
+#include "tool_common.h"
 
 namespace {
 
@@ -69,23 +51,7 @@ std::atomic<bool> g_stop{false};
 void OnSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 int Fail(const std::string& message) {
-  std::cerr << "seraph_serve: " << message << "\n";
-  return 1;
-}
-
-bool FlagValue(const std::string& arg, const std::string& prefix,
-               std::string* value) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseInt64(const std::string& text, int64_t* out) {
-  char* end = nullptr;
-  long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = static_cast<int64_t>(parsed);
-  return true;
+  return tool::Fail("seraph_serve", message);
 }
 
 // One merged emission retained for long-polling clients.
@@ -105,24 +71,18 @@ class ResultBuffer final : public EmitSink {
   Status OnResult(const std::string& query_name, Timestamp evaluation_time,
                   const TimeAnnotatedTable& table) override {
     std::deque<BufferedResult>& results = per_query_[query_name];
-    BufferedResult entry;
-    entry.seq = ++last_seq_;
-    entry.t_ms = evaluation_time.millis();
-    entry.json = io::ToJson(table);
-    results.push_back(std::move(entry));
+    results.push_back(BufferedResult{++last_seq_, evaluation_time.millis(),
+                                     io::ToJson(table)});
     while (results.size() > cap_) results.pop_front();
     return Status::OK();
   }
 
-  // Results of `query` with seq > after (empty when caught up); false
-  // when the query has never emitted and is unknown to the buffer.
+  // The buffered results of `query`; nullptr when it never emitted.
   const std::deque<BufferedResult>* ResultsFor(
       const std::string& query) const {
     auto it = per_query_.find(query);
     return it == per_query_.end() ? nullptr : &it->second;
   }
-
-  int64_t last_seq() const { return last_seq_; }
 
  private:
   size_t cap_;
@@ -140,18 +100,15 @@ int64_t AfterFromQuery(const std::string& query) {
     pos = amp + 1;
     if (pair.rfind("after=", 0) != 0) continue;
     int64_t after = 0;
-    if (ParseInt64(pair.substr(6), &after) && after >= 0) return after;
+    if (tool::ParseInt64(pair.substr(6), &after) && after >= 0) {
+      return after;
+    }
   }
   return 0;
 }
 
 HttpReply JsonReply(int code, const char* reason, std::string body) {
-  HttpReply reply;
-  reply.code = code;
-  reply.reason = reason;
-  reply.content_type = "application/json";
-  reply.body = std::move(body);
-  return reply;
+  return HttpReply{code, reason, "application/json", std::move(body)};
 }
 
 HttpReply ErrorReply(int code, const char* reason,
@@ -174,125 +131,22 @@ std::string PlacementJson(const shard::QueryPlacement& placement) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  int port = 0;
-  int shards = 1;
-  std::vector<std::string> query_files;
-  std::string checkpoint_dir;
-  int64_t checkpoint_every = 1;
-  size_t queue_capacity = 0;
-  OverflowPolicy overflow_policy = OverflowPolicy::kBlock;
-  int64_t io_timeout_ms = 5000;
-  int64_t long_poll_ms = 10000;
-  int64_t max_runtime_sec = 0;  // 0 = run until SIGINT/SIGTERM.
-  int eval_threads = EvalThreadsFromEnv(1);
-  int match_threads = MatchThreadsFromEnv(1);
-
-  for (const std::string& arg : args) {
-    std::string value;
-    int64_t parsed = 0;
-    if (FlagValue(arg, "--port=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 0 || parsed > 65535) {
-        return Fail("--port expects a port number (0 = ephemeral)");
-      }
-      port = static_cast<int>(parsed);
-    } else if (FlagValue(arg, "--shards=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 1) {
-        return Fail("--shards expects a positive shard count");
-      }
-      shards = static_cast<int>(parsed);
-    } else if (FlagValue(arg, "--queries=", &value)) {
-      if (value.empty()) return Fail("--queries expects a file path");
-      query_files.push_back(value);
-    } else if (FlagValue(arg, "--checkpoint-dir=", &checkpoint_dir)) {
-      if (checkpoint_dir.empty()) {
-        return Fail("--checkpoint-dir expects a directory path");
-      }
-    } else if (FlagValue(arg, "--checkpoint-every=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed <= 0) {
-        return Fail("--checkpoint-every expects a positive batch count");
-      }
-      checkpoint_every = parsed;
-    } else if (FlagValue(arg, "--queue-capacity=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed <= 0) {
-        return Fail("--queue-capacity expects a positive element count");
-      }
-      queue_capacity = static_cast<size_t>(parsed);
-    } else if (FlagValue(arg, "--overflow-policy=", &value)) {
-      if (!ParseOverflowPolicy(value, &overflow_policy)) {
-        return Fail("--overflow-policy expects block, reject, or "
-                    "shed_oldest");
-      }
-    } else if (FlagValue(arg, "--io-timeout-ms=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed <= 0) {
-        return Fail("--io-timeout-ms expects a positive millisecond count");
-      }
-      io_timeout_ms = parsed;
-    } else if (FlagValue(arg, "--long-poll-ms=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed <= 0) {
-        return Fail("--long-poll-ms expects a positive millisecond count");
-      }
-      long_poll_ms = parsed;
-    } else if (FlagValue(arg, "--max-runtime-sec=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 0) {
-        return Fail("--max-runtime-sec expects a non-negative second "
-                    "count (0 = until signalled)");
-      }
-      max_runtime_sec = parsed;
-    } else if (FlagValue(arg, "--threads=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 0) {
-        return Fail("--threads expects a non-negative thread count");
-      }
-      eval_threads = static_cast<int>(parsed);
-    } else if (FlagValue(arg, "--match-threads=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 0) {
-        return Fail("--match-threads expects a non-negative thread count");
-      }
-      match_threads = static_cast<int>(parsed);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout
-          << "usage: seraph_serve [--port=<p>] [--shards=<n>] "
-             "[--queries=<file>]...\n"
-             "                    [--checkpoint-dir=<dir>] "
-             "[--checkpoint-every=<n>]\n"
-             "                    [--queue-capacity=<n>] "
-             "[--overflow-policy=<policy>]\n"
-             "                    [--io-timeout-ms=<n>] "
-             "[--long-poll-ms=<n>]\n"
-             "                    [--max-runtime-sec=<n>] [--threads=<n>] "
-             "[--match-threads=<n>]\n"
-             "endpoints: POST /queries, POST /ingest, GET "
-             "/queries/<q>/results?after=<seq>,\n"
-             "           POST /queries/<q>/revive, GET /queries, GET "
-             "/metrics,\n"
-             "           GET /shards/<i>/metrics, GET /healthz\n";
-      return 0;
-    } else {
-      return Fail("unknown argument '" + arg + "' (see --help)");
-    }
+  tool::ServeOptions opt;
+  if (auto exit = tool::ServeFlags(&opt).ParseMain(argc, argv, nullptr)) {
+    return *exit;
   }
-
-  shard::ShardedEngineOptions fleet_options;
-  fleet_options.shards = shards;
-  fleet_options.engine.eval_threads = eval_threads;
-  fleet_options.engine.match_threads = match_threads;
-  fleet_options.queue.capacity = queue_capacity;
-  fleet_options.queue.overflow_policy = overflow_policy;
-  fleet_options.checkpoint_dir = checkpoint_dir;
-  fleet_options.checkpoint_every = checkpoint_every;
-  shard::ShardedEngine fleet(fleet_options);
+  const std::string& checkpoint_dir = opt.fleet.checkpoint_dir;
+  shard::ShardedEngine fleet(opt.fleet);
 
   ResultBuffer results(/*per_query_cap=*/1024);
   fleet.AddSink(&results);
 
   // Preloaded queries must be registered before Restore() so their
   // checkpointed state has definitions to land on.
-  for (const std::string& path : query_files) {
-    std::ifstream in(path);
-    if (!in) return Fail("cannot open query file '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto placement = fleet.RegisterText(buffer.str());
+  for (const std::string& path : opt.query_files) {
+    auto text = tool::ReadFile(path);
+    if (!text.ok()) return Fail(text.status().ToString());
+    auto placement = fleet.RegisterText(*text);
     if (!placement.ok()) {
       return Fail("register '" + path + "': " +
                   placement.status().ToString());
@@ -313,15 +167,14 @@ int main(int argc, char** argv) {
   std::mutex fleet_mutex;
 
   MetricsServer::Options server_options;
-  server_options.port = port;
-  server_options.registry = &fleet.metrics();
-  server_options.io_timeout_millis = static_cast<int>(io_timeout_ms);
-  server_options.long_poll_timeout_millis = static_cast<int>(long_poll_ms);
-  server_options.queries_json = [&]() -> std::string {
-    std::lock_guard<std::mutex> lock(fleet_mutex);
-    return fleet.QueriesStatusJson();
-  };
-  MetricsServer server(server_options);
+  server_options.port = static_cast<int>(opt.port);
+  server_options.io_timeout_millis = static_cast<int>(opt.io_timeout_ms);
+  server_options.long_poll_timeout_millis =
+      static_cast<int>(opt.long_poll_ms);
+  // GET /metrics, /shards/<i>/metrics, /healthz, and /queries, which
+  // every handler that changes query state republishes.
+  tool::FleetEndpoint endpoint(&fleet, server_options);
+  MetricsServer& server = endpoint.server();
 
   // POST /queries (register) and POST /queries/<q>/revive share the
   // method+prefix, so one handler dispatches on the path shape.
@@ -337,6 +190,7 @@ int main(int argc, char** argv) {
         return ErrorReply(code, code == 409 ? "Conflict" : "Bad Request",
                           placement.status().ToString());
       }
+      endpoint.PublishQueries();
       return JsonReply(200, "OK", PlacementJson(*placement));
     }
     const std::string revive_suffix = "/revive";
@@ -348,6 +202,7 @@ int main(int argc, char** argv) {
       if (Status s = fleet.ReviveQuery(name); !s.ok()) {
         return ErrorReply(404, "Not Found", s.ToString());
       }
+      endpoint.PublishQueries();
       return JsonReply(200, "OK",
                        "{\"revived\":\"" + EscapeJsonString(name) + "\"}\n");
     }
@@ -366,22 +221,18 @@ int main(int argc, char** argv) {
     while (std::getline(lines, line)) {
       ++line_no;
       if (line.empty() || line[0] == '#') continue;
+      const HttpReply malformed = ErrorReply(
+          400, "Bad Request",
+          "line " + std::to_string(line_no) +
+              ": expected {\"t_ms\": <int>, \"graph\": <graph text>}");
       auto doc = io::ParseJson(line);
-      if (!doc.ok() || !doc->is_map()) {
-        return ErrorReply(400, "Bad Request",
-                          "line " + std::to_string(line_no) +
-                              ": expected {\"t_ms\": <int>, \"graph\": "
-                              "<graph text>}");
-      }
+      if (!doc.ok() || !doc->is_map()) return malformed;
       const Value::Map& fields = doc->AsMap();
       auto t_it = fields.find("t_ms");
       auto g_it = fields.find("graph");
       if (t_it == fields.end() || !t_it->second.is_int() ||
           g_it == fields.end() || !g_it->second.is_string()) {
-        return ErrorReply(400, "Bad Request",
-                          "line " + std::to_string(line_no) +
-                              ": expected {\"t_ms\": <int>, \"graph\": "
-                              "<graph text>}");
+        return malformed;
       }
       auto graph = io::DecodeGraph(g_it->second.AsString());
       if (!graph.ok()) {
@@ -406,6 +257,7 @@ int main(int argc, char** argv) {
     if (Status s = fleet.PumpAll(); !s.ok()) {
       return ErrorReply(500, "Internal Server Error", s.ToString());
     }
+    endpoint.PublishQueries();
     return JsonReply(
         200, "OK",
         "{\"ingested\":" + std::to_string(ingested) +
@@ -454,38 +306,8 @@ int main(int argc, char** argv) {
     return JsonReply(200, "OK", body);
   });
 
-  // GET /shards/<i>/metrics — one shard's full engine registry (the
-  // coordinator /metrics carries the fleet-level aggregation).
-  server.Handle("GET", "/shards/", [&](const HttpRequest& request)
-                                       -> std::optional<HttpReply> {
-    const std::string metrics_suffix = "/metrics";
-    if (request.path.size() <= 8 + metrics_suffix.size() ||
-        request.path.compare(request.path.size() - metrics_suffix.size(),
-                             metrics_suffix.size(), metrics_suffix) != 0) {
-      return ErrorReply(404, "Not Found",
-                        "unknown GET path '" + request.path + "'");
-    }
-    const std::string index_text = request.path.substr(
-        8, request.path.size() - 8 - metrics_suffix.size());
-    int64_t index = -1;
-    if (!ParseInt64(index_text, &index) || index < 0 ||
-        index >= fleet.num_shards()) {
-      return ErrorReply(404, "Not Found",
-                        "shard index out of range (fleet has " +
-                            std::to_string(fleet.num_shards()) +
-                            " shard(s))");
-    }
-    std::lock_guard<std::mutex> lock(fleet_mutex);
-    HttpReply reply;
-    reply.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    reply.body = fleet.shard_engine(static_cast<int>(index))
-                     ->metrics()
-                     .ToPrometheusText();
-    return reply;
-  });
-
   if (Status s = server.Start(); !s.ok()) return Fail(s.ToString());
-  std::cerr << "[seraph_serve] serving " << shards
+  std::cerr << "[seraph_serve] serving " << fleet.num_shards()
             << " shard(s) on http://127.0.0.1:" << server.port()
             << " (POST /queries, POST /ingest, GET "
                "/queries/<q>/results, GET /metrics)\n";
@@ -495,9 +317,9 @@ int main(int argc, char** argv) {
   const auto started = std::chrono::steady_clock::now();
   while (!g_stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (max_runtime_sec > 0 &&
+    if (opt.max_runtime_sec > 0 &&
         std::chrono::steady_clock::now() - started >=
-            std::chrono::seconds(max_runtime_sec)) {
+            std::chrono::seconds(opt.max_runtime_sec)) {
       break;
     }
   }

@@ -52,7 +52,9 @@ void BM_NativeContinuous(benchmark::State& state) {
   auto events = MakeEvents(static_cast<int>(state.range(0)));
   int64_t rows = 0;
   std::optional<ContinuousEngine> engine;
+  benchsupport::StageCounters stages;
   for (auto _ : state) {
+    stages.Begin();
     engine.emplace();
     CountingSink sink;
     engine->AddSink(&sink);
@@ -64,13 +66,12 @@ void BM_NativeContinuous(benchmark::State& state) {
       state.SkipWithError("drain failed");
       return;
     }
+    if (!stages.End(state, *engine, "rentals")) return;
     rows += sink.rows();
   }
   state.counters["rows_per_run"] =
       static_cast<double>(rows) / state.iterations();
-  if (engine.has_value()) {
-    benchsupport::AddStageCounters(state, *engine, "rentals");
-  }
+  stages.Report(state);
   state.SetLabel("native/" + std::to_string(state.range(0)) + "events");
 }
 BENCHMARK(BM_NativeContinuous)->Arg(24)->Arg(48)->Arg(96)

@@ -101,6 +101,7 @@ void BM_WindowScaling(benchmark::State& state) {
   int64_t evals = 0;
   std::optional<ContinuousEngine> engine;
   CountingSink sink;
+  benchsupport::StageCounters stages;
   for (auto _ : state) {
     state.PauseTiming();
     EngineOptions options;
@@ -121,10 +122,12 @@ void BM_WindowScaling(benchmark::State& state) {
       return;
     }
     state.ResumeTiming();
+    stages.Begin(&*engine, "q");
     if (!engine->AdvanceTo(T(workload.end + 1)).ok()) {
       state.SkipWithError("advance failed");
       return;
     }
+    if (!stages.End(state, *engine, "q")) return;
     evals += static_cast<int64_t>(engine->StatsFor("q")->evaluations) - 1;
   }
   state.counters["evals"] = static_cast<double>(evals) / state.iterations();
@@ -133,8 +136,8 @@ void BM_WindowScaling(benchmark::State& state) {
   if (engine.has_value()) {
     QueryStats stats = *engine->StatsFor("q");
     state.counters["fresh"] = static_cast<double>(stats.fresh_executions);
-    benchsupport::AddStageCounters(state, *engine, "q");
   }
+  stages.Report(state);
   state.SetLabel(std::string(delta ? "delta" : "full") + "/window=" +
                  std::to_string(multiplier) + "x");
 }

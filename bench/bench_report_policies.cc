@@ -41,7 +41,9 @@ void BM_ReportPolicy(benchmark::State& state) {
   int64_t rows = 0;
   int64_t evals = 0;
   std::optional<ContinuousEngine> engine;
+  benchsupport::StageCounters stages;
   for (auto _ : state) {
+    stages.Begin();
     engine.emplace();
     CountingSink sink;
     engine->AddSink(&sink);
@@ -56,12 +58,11 @@ void BM_ReportPolicy(benchmark::State& state) {
       state.SkipWithError("drain failed");
       return;
     }
+    if (!stages.End(state, *engine, "pq")) return;
     rows += sink.rows();
     evals += sink.evaluations();
   }
-  if (engine.has_value()) {
-    benchsupport::AddStageCounters(state, *engine, "pq");
-  }
+  stages.Report(state);
   state.counters["rows_emitted_per_run"] =
       state.iterations() > 0
           ? static_cast<double>(rows) / state.iterations()

@@ -40,7 +40,9 @@ void BM_BurstyStream(benchmark::State& state) {
   int64_t reused = 0;
   int64_t evals = 0;
   std::optional<ContinuousEngine> engine;
+  benchsupport::StageCounters stages;
   for (auto _ : state) {
+    stages.Begin();
     EngineOptions options;
     options.reuse_unchanged_windows = reuse;
     engine.emplace(options);
@@ -60,6 +62,7 @@ void BM_BurstyStream(benchmark::State& state) {
       state.SkipWithError("drain failed");
       return;
     }
+    if (!stages.End(state, *engine, "q")) return;
     QueryStats stats = *engine->StatsFor("q");
     reused += stats.reused_results;
     evals += stats.evaluations;
@@ -67,9 +70,7 @@ void BM_BurstyStream(benchmark::State& state) {
   state.counters["evaluations"] =
       static_cast<double>(evals) / state.iterations();
   state.counters["reused"] = static_cast<double>(reused) / state.iterations();
-  if (engine.has_value()) {
-    benchsupport::AddStageCounters(state, *engine, "q");
-  }
+  stages.Report(state);
   state.SetLabel(std::string(reuse ? "reuse" : "no_reuse") + "/quiet=" +
                  std::to_string(quiet) + "m");
 }

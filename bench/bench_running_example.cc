@@ -84,7 +84,9 @@ void BM_Tables5and6_ContinuousReplay(benchmark::State& state) {
       workloads::BuildRunningExampleStream();
   int64_t rows = 0;
   std::optional<ContinuousEngine> engine;
+  benchsupport::StageCounters stages;
   for (auto _ : state) {
+    stages.Begin();
     EngineOptions options;
     options.incremental_snapshots = incremental;
     engine.emplace(options);
@@ -95,15 +97,14 @@ void BM_Tables5and6_ContinuousReplay(benchmark::State& state) {
       (void)engine->Ingest(event.graph, event.timestamp);
     }
     (void)engine->Drain();
+    if (!stages.End(state, *engine, "student_trick")) return;
     for (const auto& entry : sink.ResultsFor("student_trick").entries()) {
       rows += static_cast<int64_t>(entry.table.size());
     }
   }
   state.counters["rows_per_replay"] =
       static_cast<double>(rows) / state.iterations();
-  if (engine.has_value()) {
-    benchsupport::AddStageCounters(state, *engine, "student_trick");
-  }
+  stages.Report(state);
   state.SetLabel(incremental ? "incremental" : "rebuild");
 }
 BENCHMARK(BM_Tables5and6_ContinuousReplay)->Arg(0)->Arg(1);

@@ -35,7 +35,9 @@ void Drive(const std::string& query,
            benchmark::State& state) {
   int64_t evals = 0;
   std::optional<ContinuousEngine> engine;
+  benchsupport::StageCounters stages;
   for (auto _ : state) {
+    stages.Begin();
     engine.emplace();
     CountingSink sink;
     engine->AddSink(&sink);
@@ -47,11 +49,12 @@ void Drive(const std::string& query,
       state.SkipWithError("drain failed");
       return;
     }
+    if (!stages.End(state, *engine)) return;
     evals += engine->evaluations_run();
   }
   state.counters["evaluations_per_run"] =
       static_cast<double>(evals) / state.iterations();
-  if (engine.has_value()) benchsupport::AddStageCounters(state, *engine);
+  stages.Report(state);
 }
 
 void BM_WindowWidthSweep(benchmark::State& state) {

@@ -21,7 +21,9 @@ void RunStream(const std::string& query,
                benchmark::State& state) {
   int64_t rows = 0;
   std::optional<ContinuousEngine> engine;
+  benchsupport::StageCounters stages;
   for (auto _ : state) {
+    stages.Begin();
     engine.emplace();
     CountingSink sink;
     engine->AddSink(&sink);
@@ -36,9 +38,10 @@ void RunStream(const std::string& query,
       state.SkipWithError("drain failed");
       return;
     }
+    if (!stages.End(state, *engine)) return;
     rows += sink.rows();
   }
-  if (engine.has_value()) benchsupport::AddStageCounters(state, *engine);
+  stages.Report(state);
   state.counters["alert_rows_per_run"] =
       static_cast<double>(rows) / state.iterations();
   int64_t elements = 0;

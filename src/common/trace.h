@@ -7,23 +7,24 @@
 //   TraceRecorder recorder;
 //   recorder.Enable();
 //   {
-//     TraceSpan span(&recorder, "match", "engine");
-//     span.AddArg("query", "student_trick");
+//     StageTimer timer(&recorder, "match", "engine", &histogram, &total);
 //     ...work...
-//   }  // complete event recorded on scope exit
+//     timer.Stop([&] { return TraceArgs{{"query", "student_trick"}}; });
+//   }
 //   recorder.WriteJsonFile("trace.json");
 //
-// Overhead when disabled is one pointer/bool test per span — a TraceSpan
-// constructed against a null or disabled recorder never reads the clock
-// and records nothing, so instrumented hot paths stay cheap (guarded by
-// a benchmark in bench_running_example).
+// Overhead when disabled is one pointer/bool test per span — a
+// StageTimer with no histogram or accumulator, against a null or
+// disabled recorder, never reads the clock and records nothing, so
+// instrumented hot paths stay cheap (guarded by a benchmark in
+// bench_running_example).
 //
-// Thread-safety: AddComplete/AddInstant (and therefore TraceSpan) may be
-// called from engine worker threads concurrently — the event buffer is
-// mutex-guarded. Every recorded event is stamped with the calling
-// thread's trace tid (SetCurrentThreadTid; 0 on the coordinator, worker
-// id + 1 on pool workers), so one merged trace shows the real thread
-// lanes. Enable/Disable, ToJson, Clear, and events() are
+// Thread-safety: AddComplete/AddInstant (and therefore StageTimer::Stop)
+// may be called from engine worker threads concurrently — the event
+// buffer is mutex-guarded. Every recorded event is stamped with the
+// calling thread's trace tid (SetCurrentThreadTid; 0 on the coordinator,
+// worker id + 1 on pool workers), so one merged trace shows the real
+// thread lanes. Enable/Disable, ToJson, Clear, and events() are
 // coordinator-only and must not overlap recording from other threads.
 #ifndef SERAPH_COMMON_TRACE_H_
 #define SERAPH_COMMON_TRACE_H_
@@ -35,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 
 namespace seraph {
@@ -103,43 +105,69 @@ class TraceRecorder {
   std::vector<Event> events_;
 };
 
-// RAII span: records a complete event covering its own lifetime. Against
-// a null or disabled recorder it does nothing (and never reads the
-// clock).
-class TraceSpan {
+// Times one stage of a pipeline and writes its duration once to each
+// destination that is set: an accumulator (e.g. a QueryStats field), a
+// histogram (e.g. seraph_stage_micros{stage=...}), and a complete trace
+// event, the last only while `tracer` is enabled at construction. With
+// no destination the timer never reads the clock.
+//
+// The duration is written by Stop(), never by the destructor, so a stage
+// that ends in an early error return records nothing, exactly like a
+// stage that never ran. Call Stop() at most once.
+//
+// Exclude() takes a nested stage's time out of what the accumulator and
+// the histogram receive (self time); the trace event keeps the full
+// interval, so it still encloses the nested stage's own event.
+class StageTimer {
  public:
-  TraceSpan(TraceRecorder* recorder, const char* name, const char* category)
-      : recorder_(recorder != nullptr && recorder->enabled() ? recorder
-                                                             : nullptr),
+  // Inactive: writes nothing and reads no clock.
+  StageTimer() = default;
+
+  StageTimer(TraceRecorder* tracer, const char* name, const char* category,
+             Histogram* histogram = nullptr, int64_t* accumulator = nullptr)
+      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
         name_(name),
-        category_(category) {
-    if (recorder_ != nullptr) start_micros_ = TraceRecorder::NowMicros();
+        category_(category),
+        histogram_(histogram),
+        accumulator_(accumulator) {
+    if (timing()) start_micros_ = TraceRecorder::NowMicros();
   }
 
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
+  void Exclude(int64_t child_micros) { excluded_micros_ += child_micros; }
 
-  ~TraceSpan() {
-    if (recorder_ == nullptr) return;
-    recorder_->AddComplete(name_, category_, start_micros_,
-                           TraceRecorder::NowMicros() - start_micros_,
-                           std::move(args_));
+  // Ends the stage and returns its self time (0 when the timer reads no
+  // clock). `make_args` returns the trace event's TraceArgs; it runs only
+  // while recording, so the args cost nothing otherwise.
+  template <typename MakeArgs>
+  int64_t Stop(MakeArgs&& make_args) {
+    if (!timing()) return 0;
+    const int64_t end_micros = TraceRecorder::NowMicros();
+    const int64_t self_micros = end_micros - start_micros_ - excluded_micros_;
+    if (accumulator_ != nullptr) *accumulator_ += self_micros;
+    if (histogram_ != nullptr) histogram_->Record(self_micros);
+    if (tracer_ != nullptr) {
+      tracer_->AddComplete(name_, category_, start_micros_,
+                           end_micros - start_micros_, make_args());
+    }
+    return self_micros;
   }
-
-  // Attached to the event on destruction. No-op when not recording.
-  void AddArg(std::string key, std::string value) {
-    if (recorder_ == nullptr) return;
-    args_.emplace_back(std::move(key), std::move(value));
+  int64_t Stop() {
+    return Stop([] { return TraceArgs{}; });
   }
-
-  bool recording() const { return recorder_ != nullptr; }
 
  private:
-  TraceRecorder* recorder_;
-  const char* name_;
-  const char* category_;
+  bool timing() const {
+    return tracer_ != nullptr || histogram_ != nullptr ||
+           accumulator_ != nullptr;
+  }
+
+  TraceRecorder* tracer_ = nullptr;
+  const char* name_ = "";
+  const char* category_ = "";
+  Histogram* histogram_ = nullptr;
+  int64_t* accumulator_ = nullptr;
   int64_t start_micros_ = 0;
-  TraceArgs args_;
+  int64_t excluded_micros_ = 0;
 };
 
 }  // namespace seraph

@@ -725,7 +725,7 @@ Status MatchPartitioned(const std::vector<const PathPattern*>& views,
   std::vector<std::vector<Record>> morsel_out(num_morsels);
   std::vector<Status> morsel_status(num_morsels, Status::OK());
   std::vector<int64_t> morsel_pruned(num_morsels, 0);
-  const int64_t start_micros = TraceRecorder::NowMicros();
+  StageTimer timer(par.tracer, "match_morsels", "match");
 
   std::vector<std::function<void()>> tasks;
   tasks.reserve(num_morsels);
@@ -764,15 +764,12 @@ Status MatchPartitioned(const std::vector<const PathPattern*>& views,
   if (par.seed_candidates != nullptr) {
     par.seed_candidates->Record(static_cast<int64_t>(seeds.size()));
   }
-  if (par.tracer != nullptr && par.tracer->enabled()) {
-    par.tracer->AddComplete(
-        "match_morsels", "match", start_micros,
-        TraceRecorder::NowMicros() - start_micros,
-        {{"query", par.query_label},
-         {"seeds", std::to_string(seeds.size())},
-         {"morsels", std::to_string(num_morsels)},
-         {"morsel_size", std::to_string(morsel_size)}});
-  }
+  timer.Stop([&] {
+    return TraceArgs{{"query", par.query_label},
+                     {"seeds", std::to_string(seeds.size())},
+                     {"morsels", std::to_string(num_morsels)},
+                     {"morsel_size", std::to_string(morsel_size)}};
+  });
 
   size_t emit = num_morsels;
   size_t total = 0;

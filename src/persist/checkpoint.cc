@@ -339,7 +339,7 @@ Status CheckpointManager::Checkpoint(ContinuousEngine* engine) {
   Gauge* last_write_gauge =
       registry.GaugeFor("seraph_checkpoint_last_write_micros");
 
-  const int64_t start = TraceRecorder::NowMicros();
+  StageTimer timer(/*tracer=*/nullptr, "checkpoint", "persist", duration);
   Status written = [&]() -> Status {
     std::error_code ec;
     fs::create_directories(options_.dir, ec);
@@ -370,7 +370,7 @@ Status CheckpointManager::Checkpoint(ContinuousEngine* engine) {
     GarbageCollect(seq);
     return Status::OK();
   }();
-  duration->Record(TraceRecorder::NowMicros() - start);
+  timer.Stop();
   if (written.ok()) {
     ++checkpoints_written_;
     total->Increment();

@@ -79,14 +79,12 @@ struct QueryMetricHandles {
   // Expansions cut by the path-filter pushdown (cypher/executor.cc).
   Counter* match_pruned = nullptr;
   // Emit-latency accounting (docs/INTERNALS.md, "Latency accounting &
-  // lag"): ingest→emit latency of each covered element, plus the
-  // per-stage breakdown. Written only by the coordinator in
-  // FinishDelivery (single-writer histogram contract).
+  // lag"): ingest→emit latency of each covered element, and its queue
+  // wait (arrival → evaluation start), the one per-element stage; the
+  // per-evaluation stages are seraph_stage_micros above. Written only by
+  // the coordinator in FinishDelivery (single-writer histogram contract).
   Histogram* emit_latency = nullptr;
-  Histogram* lat_queue = nullptr;    // arrival → evaluation start.
-  Histogram* lat_window = nullptr;   // Window + snapshot maintenance.
-  Histogram* lat_match = nullptr;    // Clause evaluation + report policy.
-  Histogram* lat_deliver = nullptr;  // Sink delivery.
+  Histogram* lat_queue = nullptr;
   // Delta matching (seraph/delta): evaluations served from the
   // partial-match index, full executions taken while delta matching was
   // enabled (ineligible query or invalidated index), index rebuilds, and
@@ -130,7 +128,6 @@ struct ContinuousEngine::QueryState {
   int consecutive_failures = 0;
   bool disabled = false;
   QueryStats stats;
-  Histogram eval_latency_micros;
   QueryMetricHandles metrics;
   // Emit-latency cursors, one per distinct stream among the query's
   // windows: the index of the first element whose latency has not been
@@ -201,14 +198,8 @@ QueryMetricHandles MakeQueryMetrics(MetricsRegistry* registry,
       registry->HistogramFor("seraph_match_seed_candidates", q);
   m.match_pruned = registry->CounterFor("seraph_match_pruned_total", q);
   m.emit_latency = registry->HistogramFor("seraph_emit_latency_micros", q);
-  auto lat_stage = [&](const char* name) {
-    return registry->HistogramFor("seraph_emit_stage_micros",
-                                  {{"query", query}, {"stage", name}});
-  };
-  m.lat_queue = lat_stage("queue");
-  m.lat_window = lat_stage("window");
-  m.lat_match = lat_stage("match");
-  m.lat_deliver = lat_stage("deliver");
+  m.lat_queue = registry->HistogramFor("seraph_emit_stage_micros",
+                                       {{"query", query}, {"stage", "queue"}});
   m.delta_hits = registry->CounterFor("seraph_delta_hits_total", q);
   m.delta_fallbacks =
       registry->CounterFor("seraph_delta_fallbacks_total", q);
@@ -371,37 +362,42 @@ int SinkSet::Deliver(const std::string& query_name, Timestamp t,
                      DeadLetterQueue* dead_letter) {
   int lost = 0;
   for (State& state : sinks_) {
-    if (state.quarantined) continue;
     Status status;
     int attempts = 0;
-    for (;;) {
-      ++attempts;
-      status = state.sink->OnResult(query_name, t, annotated);
-      if (status.ok()) break;
-      if (!state.policy.retry.ShouldRetry(status, attempts)) break;
-      state.retries->Increment();
-      // The backoff delay is deterministic and accounted, not slept: the
-      // engine runs in simulated time (see common/fault.h).
-      metrics_->CounterFor(family_ + "_backoff_millis_total",
-                           {{"sink", state.name}})
-          ->Increment(state.policy.retry.DelayMillisFor(attempts));
+    if (state.quarantined) {
+      // Not called at all, yet the result is lost to it all the same.
+      status = Status::Unavailable("sink '" + state.name + "' is quarantined");
+    } else {
+      for (;;) {
+        ++attempts;
+        status = state.sink->OnResult(query_name, t, annotated);
+        if (status.ok()) break;
+        if (!state.policy.retry.ShouldRetry(status, attempts)) break;
+        state.retries->Increment();
+        // The backoff delay is deterministic and accounted, not slept:
+        // the engine runs in simulated time (see common/fault.h).
+        metrics_->CounterFor(family_ + "_backoff_millis_total",
+                             {{"sink", state.name}})
+            ->Increment(state.policy.retry.DelayMillisFor(attempts));
+      }
+      if (status.ok()) {
+        state.consecutive_failures = 0;
+        state.deliveries->Increment();
+        continue;
+      }
     }
-    if (status.ok()) {
-      state.consecutive_failures = 0;
-      state.deliveries->Increment();
-      continue;
-    }
-    // Retries exhausted or the error was permanent: this delivery is
-    // lost to the sink — capture it, count it, and keep everything else
-    // running (sink isolation).
+    // Retries exhausted, the error was permanent, or the sink is
+    // quarantined: this delivery is lost to the sink — capture it, count
+    // it, and keep everything else running (sink isolation).
     ++lost;
-    state.failures->Increment();
-    ++state.consecutive_failures;
     if (dead_letter != nullptr) {
       dead_letter->AddSinkResult(state.name, query_name, t, annotated, status,
                                  attempts);
       state.dead_lettered->Increment();
     }
+    if (state.quarantined) continue;
+    state.failures->Increment();
+    ++state.consecutive_failures;
     SERAPH_LOG(WARNING) << "sink '" << state.name << "' rejected result of '"
                         << query_name << "' at " << t.ToString() << " after "
                         << attempts << " attempt(s): " << status;
@@ -549,7 +545,7 @@ Result<HistogramSnapshot> ContinuousEngine::LatencyFor(
   if (it == queries_.end()) {
     return Status::NotFound("query '" + name + "' is not registered");
   }
-  return it->second->eval_latency_micros.Snapshot();
+  return it->second->metrics.eval_total->Snapshot();
 }
 
 Status ContinuousEngine::Ingest(PropertyGraph graph, Timestamp timestamp) {
@@ -957,16 +953,14 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   // Stages 1-3 of the pipeline. May run on a worker thread: everything
   // written here is per-query state (disjoint across a batch), and the
   // shared state it reads (options_, streams_, static_graph_) is frozen
-  // during AdvanceTo. All stage timing shares one clock
-  // (TraceRecorder::NowMicros) so the histogram breakdown and the trace
-  // spans agree. The tracer pointer is resolved once; when tracing is off
-  // the only extra work per stage is the clock read feeding the stage
-  // histograms.
-  TraceRecorder* tracer =
-      (options_.tracer != nullptr && options_.tracer->enabled())
-          ? options_.tracer
-          : nullptr;
-  const int64_t eval_start = TraceRecorder::NowMicros();
+  // during AdvanceTo. Each stage is timed once, by one StageTimer that
+  // writes its QueryStats field, its seraph_stage_micros histogram and,
+  // while tracing, its span, so the three always agree. When tracing is
+  // off the only extra work per stage is the clock read feeding them.
+  TraceRecorder* tracer = options_.tracer;
+  out->evaluate = StageTimer(tracer, "evaluate", "pipeline");
+  StageTimer window(tracer, "window_maintenance", "engine",
+                    state->metrics.stage_window, &state->stats.window_micros);
   // Queue-wait's right endpoint, on the *latency* clock (which tests may
   // pin to a ManualClock on a different timebase than the trace clock —
   // both ends of a latency interval must come from the same clock).
@@ -1024,7 +1018,7 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
     ws.last_hi = hi;
     ws.has_last_range = true;
 
-    const int64_t snap_start = TraceRecorder::NowMicros();
+    StageTimer snap(tracer, "snapshot", "engine", nullptr, &snapshot_micros);
     if (ws.snapshotter != nullptr) {
       SERAPH_RETURN_IF_ERROR(ws.snapshotter->Advance(effective));
       // Churn-proportional repair of the partial-match index from this
@@ -1062,46 +1056,39 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
       ++state->stats.snapshots_rebuilt;
       state->metrics.snapshots_rebuilt->Increment();
     }
-    const int64_t snap_dur = TraceRecorder::NowMicros() - snap_start;
-    snapshot_micros += snap_dur;
-    if (tracer != nullptr) {
-      tracer->AddComplete(
-          "snapshot", "engine", snap_start, snap_dur,
-          {{"query", state->query.name},
-           {"window", WindowLabel(ws.stream, ws.width)},
-           {"mode", ws.snapshotter != nullptr ? "incremental" : "rebuild"}});
-    }
+    snap.Stop([&] {
+      return TraceArgs{
+          {"query", state->query.name},
+          {"window", WindowLabel(ws.stream, ws.width)},
+          {"mode", ws.snapshotter != nullptr ? "incremental" : "rebuild"}};
+    });
   }
   SERAPH_CHECK(widest_window.has_value());
   const PropertyGraph* base = snapshots.at(state->widest_key);
 
-  const int64_t windows_end = TraceRecorder::NowMicros();
-  // "window" is the interval/range bookkeeping around the snapshot work.
-  const int64_t window_micros =
-      (windows_end - eval_start) - snapshot_micros;
-  state->stats.window_micros += window_micros;
+  // The snapshot stage is one sample per evaluation (the sum over its
+  // windows); "window" is the interval/range bookkeeping around it.
   state->stats.snapshot_micros += snapshot_micros;
-  state->metrics.stage_window->Record(window_micros);
   state->metrics.stage_snapshot->Record(snapshot_micros);
-  if (tracer != nullptr) {
-    tracer->AddComplete("window_maintenance", "engine", eval_start,
-                        windows_end - eval_start,
-                        {{"query", state->query.name},
-                         {"t", t.ToString()}});
-  }
+  window.Exclude(snapshot_micros);
+  const int64_t window_micros = window.Stop([&] {
+    return TraceArgs{{"query", state->query.name}, {"t", t.ToString()}};
+  });
 
   // 2. Evaluate the body at instant t (snapshot reducibility) — or reuse
   //    the previous result when nothing in any window changed and the
   //    query cannot observe the evaluation instant.
+  const bool reused = options_.reuse_unchanged_windows &&
+                      state->content_deterministic && state->has_previous &&
+                      all_ranges_unchanged;
+  StageTimer match(tracer, reused ? "reuse" : "match", "engine",
+                   state->metrics.stage_match, &state->stats.match_micros);
   Table current;
-  bool reused = false;
   ExecutionStats exec_stats;  // Filled by a full execution only.
-  if (options_.reuse_unchanged_windows && state->content_deterministic &&
-      state->has_previous && all_ranges_unchanged) {
+  if (reused) {
     current = state->previous_result;
     ++state->stats.reused_results;
     state->metrics.reuse_hits->Increment();
-    reused = true;
   } else {
     WindowGraphResolver resolver(snapshots, base);
     ExecutionOptions exec;
@@ -1145,7 +1132,7 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
       // invalidates the index (it may be mid-repair).
       IncrementalSnapshotter* snap =
           state->windows.begin()->second.snapshotter.get();
-      const int64_t delta_start = TraceRecorder::NowMicros();
+      StageTimer delta(tracer, "delta", "engine");
       const bool rebuilt = !state->delta->valid();
       Status delta_status =
           rebuilt ? state->delta->Build(*base, snap->stats().advances, exec)
@@ -1170,14 +1157,12 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
           state->metrics.delta_hits->Increment();
           state->metrics.delta_entries->Set(
               static_cast<int64_t>(state->delta->size()));
-          if (tracer != nullptr) {
-            tracer->AddComplete(
-                "delta", "engine", delta_start,
-                TraceRecorder::NowMicros() - delta_start,
-                {{"query", state->query.name},
-                 {"mode", rebuilt ? "rebuild" : "incremental"},
-                 {"entries", std::to_string(state->delta->size())}});
-          }
+          delta.Stop([&] {
+            return TraceArgs{
+                {"query", state->query.name},
+                {"mode", rebuilt ? "rebuild" : "incremental"},
+                {"entries", std::to_string(state->delta->size())}};
+          });
         } else {
           delta_status = matched.status();
         }
@@ -1216,21 +1201,18 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   }
   state->stats.result_rows += static_cast<int64_t>(current.size());
 
-  const int64_t match_end = TraceRecorder::NowMicros();
-  const int64_t match_micros = match_end - windows_end;
-  state->stats.match_micros += match_micros;
-  state->metrics.stage_match->Record(match_micros);
-  if (tracer != nullptr) {
+  const int64_t match_micros = match.Stop([&] {
     TraceArgs args = {{"query", state->query.name},
                       {"rows", std::to_string(current.size())}};
     if (!reused) {
       args.emplace_back("pushdown", exec_stats.pushdown ? "1" : "0");
     }
-    tracer->AddComplete(reused ? "reuse" : "match", "engine", windows_end,
-                        match_micros, std::move(args));
-  }
+    return args;
+  });
 
   // 3. Apply the report policy.
+  StageTimer policy(tracer, "policy", "engine", state->metrics.stage_policy,
+                    &state->stats.policy_micros);
   Table reported;
   switch (state->query.policy) {
     case ReportPolicy::kSnapshot:
@@ -1253,72 +1235,47 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   state->metrics.rows_emitted->Increment(
       static_cast<int64_t>(reported.size()));
 
-  const int64_t policy_end = TraceRecorder::NowMicros();
-  const int64_t policy_micros = policy_end - match_end;
-  state->stats.policy_micros += policy_micros;
-  state->metrics.stage_policy->Record(policy_micros);
-  if (tracer != nullptr) {
-    tracer->AddComplete("policy", "engine", match_end, policy_micros,
-                        {{"query", state->query.name},
-                         {"policy", PolicyName(state->query.policy)}});
-  }
+  const int64_t policy_micros = policy.Stop([&] {
+    return TraceArgs{{"query", state->query.name},
+                     {"policy", PolicyName(state->query.policy)}};
+  });
 
   // Stage 4 (sink delivery) happens on the coordinator: hand the
   // time-annotated table back for FinishDelivery.
   out->annotated = TimeAnnotatedTable{std::move(reported), *widest_window};
-  out->eval_start_micros = eval_start;
-  out->eval_end_micros = policy_end;
-  // Emit-latency stage durations (durations are timebase-independent, so
-  // the trace clock's readings above serve directly).
-  out->stage_window_micros = window_micros + snapshot_micros;
-  out->stage_match_micros = match_micros + policy_micros;
+  out->stage_micros =
+      window_micros + snapshot_micros + match_micros + policy_micros;
   return Status::OK();
 }
 
 void ContinuousEngine::FinishDelivery(QueryState* state, Timestamp t,
                                       PendingDelivery&& out) {
-  TraceRecorder* tracer =
-      (options_.tracer != nullptr && options_.tracer->enabled())
-          ? options_.tracer
-          : nullptr;
   // The sink stage is timed as its own interval rather than "since the
   // policy stage ended": under parallel evaluation there is a scheduling
   // gap between a worker finishing stage 3 and the coordinator getting
   // here, and that gap is not sink time.
-  const int64_t sink_start = TraceRecorder::NowMicros();
+  StageTimer sink(options_.tracer, "sink", "engine",
+                  state->metrics.stage_sink, &state->stats.sink_micros);
   // Sink failures are isolated inside SinkSet::Deliver (retry →
   // dead-letter → quarantine) and never fail the evaluation.
   sinks_.Deliver(state->query.name, t, out.annotated, options_.dead_letter);
-  const int64_t sink_end = TraceRecorder::NowMicros();
-  const int64_t sink_micros = sink_end - sink_start;
-  state->stats.sink_micros += sink_micros;
-  state->metrics.stage_sink->Record(sink_micros);
-
-  const int64_t eval_micros = out.eval_end_micros - out.eval_start_micros;
-  const int64_t total_micros = eval_micros + sink_micros;
-  if (tracer != nullptr) {
-    tracer->AddComplete("sink", "engine", sink_start, sink_micros,
-                        {{"query", state->query.name},
-                         {"sinks", std::to_string(sinks_.size())}});
-    // The 'evaluate' span must enclose its 'sink' child, so it runs to
-    // sink_end: the worker-to-coordinator scheduling gap sits *inside*
-    // the span (visible as the space between the policy and sink
-    // children), while the latency metrics below deliberately exclude it.
-    tracer->AddComplete("evaluate", "pipeline", out.eval_start_micros,
-                        sink_end - out.eval_start_micros,
-                        {{"query", state->query.name},
-                         {"t", t.ToString()}});
-  }
-  state->eval_latency_micros.Record(total_micros);
-  state->metrics.eval_total->Record(total_micros);
-  if (options_.latency_stamping) {
-    RecordEmitLatency(state, t, out, sink_micros);
-  }
+  const int64_t sink_micros = sink.Stop([&] {
+    return TraceArgs{{"query", state->query.name},
+                     {"sinks", std::to_string(sinks_.size())}};
+  });
+  // The 'evaluate' span must enclose its 'sink' child, so it stops here:
+  // the worker-to-coordinator scheduling gap sits *inside* the span
+  // (visible as the space between the policy and sink children), while
+  // seraph_query_eval_micros, the sum of the stage times, excludes it.
+  out.evaluate.Stop([&] {
+    return TraceArgs{{"query", state->query.name}, {"t", t.ToString()}};
+  });
+  state->metrics.eval_total->Record(out.stage_micros + sink_micros);
+  if (options_.latency_stamping) RecordEmitLatency(state, t, out);
 }
 
 void ContinuousEngine::RecordEmitLatency(QueryState* state, Timestamp t,
-                                         const PendingDelivery& out,
-                                         int64_t sink_micros) {
+                                         const PendingDelivery& out) {
   // Coordinator-only (single-writer histogram contract). Every element
   // with timestamp <= t is now covered by this query's delivered result;
   // charge arrival→now once per element, per query. Elements covered by
@@ -1343,10 +1300,6 @@ void ContinuousEngine::RecordEmitLatency(QueryState* state, Timestamp t,
       state->metrics.lat_queue->Record(queue_wait);
     }
   }
-  // The evaluation-side stages are per-emit, not per-element.
-  state->metrics.lat_window->Record(out.stage_window_micros);
-  state->metrics.lat_match->Record(out.stage_match_micros);
-  state->metrics.lat_deliver->Record(sink_micros);
 }
 
 void ContinuousEngine::HandleEvalFailure(QueryState* state, Timestamp t,

@@ -180,7 +180,8 @@ struct SinkPolicy {
   RetryPolicy retry = RetryPolicy::None();
   // After this many *consecutive* failed deliveries (retries exhausted or
   // permanent error) the sink is quarantined: it stops receiving results
-  // but evaluation and the other sinks continue.
+  // (they go to the dead-letter queue, when one is configured) but
+  // evaluation and the other sinks continue.
   int quarantine_after = 5;
 };
 
@@ -205,8 +206,9 @@ class SinkSet {
   // Lifts a quarantine and resets the failure streak.
   Status Revive(const std::string& name);
   // Delivers one result to every live sink. Deliveries that exhaust
-  // their retries land in `dead_letter` when it is non-null. Returns the
-  // number of sinks that lost this result.
+  // their retries, and the results a quarantined sink does not receive,
+  // land in `dead_letter` when it is non-null. Returns the number of
+  // sinks that lost this result, quarantined ones included.
   int Deliver(const std::string& query_name, Timestamp t,
               const TimeAnnotatedTable& annotated,
               DeadLetterQueue* dead_letter);
@@ -258,22 +260,28 @@ struct QueryStats {
   int64_t eval_failures = 0;    // Evaluations that failed at runtime.
   Status last_error;            // Most recent evaluation error (OK if none).
 
-  friend bool operator==(const QueryStats& a, const QueryStats& b) {
-    return a.evaluations == b.evaluations &&
-           a.reused_results == b.reused_results &&
-           a.rows_emitted == b.rows_emitted &&
-           a.result_rows == b.result_rows &&
-           a.snapshots_incremental == b.snapshots_incremental &&
-           a.snapshots_rebuilt == b.snapshots_rebuilt &&
-           a.window_elements_added == b.window_elements_added &&
-           a.window_elements_evicted == b.window_elements_evicted &&
-           a.fresh_executions == b.fresh_executions &&
-           a.window_micros == b.window_micros &&
-           a.snapshot_micros == b.snapshot_micros &&
-           a.match_micros == b.match_micros &&
-           a.policy_micros == b.policy_micros &&
-           a.sink_micros == b.sink_micros &&
-           a.eval_failures == b.eval_failures && a.last_error == b.last_error;
+  friend bool operator==(const QueryStats&, const QueryStats&) = default;
+
+  // Field-wise sum, e.g. a query's total over the shards it runs on; a
+  // non-OK `other.last_error` replaces this one's.
+  QueryStats& operator+=(const QueryStats& other) {
+    evaluations += other.evaluations;
+    reused_results += other.reused_results;
+    rows_emitted += other.rows_emitted;
+    result_rows += other.result_rows;
+    snapshots_incremental += other.snapshots_incremental;
+    snapshots_rebuilt += other.snapshots_rebuilt;
+    window_elements_added += other.window_elements_added;
+    window_elements_evicted += other.window_elements_evicted;
+    fresh_executions += other.fresh_executions;
+    window_micros += other.window_micros;
+    snapshot_micros += other.snapshot_micros;
+    match_micros += other.match_micros;
+    policy_micros += other.policy_micros;
+    sink_micros += other.sink_micros;
+    eval_failures += other.eval_failures;
+    if (!other.last_error.ok()) last_error = other.last_error;
+    return *this;
   }
 };
 
@@ -339,7 +347,10 @@ class ContinuousEngine {
   Result<QueryStats> StatsFor(const std::string& name) const;
 
   // Wall-clock evaluation latency distribution (microseconds) of a
-  // registered query.
+  // registered query: its `seraph_query_eval_micros` series, the sum of
+  // the stage times of each evaluation. The series outlives Unregister
+  // like every registry series, so a query re-registered under the same
+  // name continues its predecessor's distribution.
   Result<HistogramSnapshot> LatencyFor(const std::string& name) const;
 
   // The engine-lifetime metrics registry: per-query pipeline-stage
@@ -474,17 +485,19 @@ class ContinuousEngine {
   // produce these, the coordinator delivers them sequentially.
   struct PendingDelivery {
     TimeAnnotatedTable annotated;
-    int64_t eval_start_micros = 0;  // Start of the evaluation stages.
-    int64_t eval_end_micros = 0;    // End of the policy stage.
-    // Emit-latency stage breakdown, filled by EvaluateAt when
-    // latency_stamping is on. latency_eval_start_micros is read from the
-    // *latency* clock (options_.clock), which in tests is a ManualClock on
-    // a different timebase than the trace clock above — queue wait is
+    // The "evaluate" span: started by EvaluateAt, stopped by
+    // FinishDelivery after the sink stage it encloses.
+    StageTimer evaluate;
+    // Σ of stages 1-3's times; with the sink stage's added it is the
+    // evaluation's seraph_query_eval_micros sample.
+    int64_t stage_micros = 0;
+    // Queue wait's right endpoint, filled by EvaluateAt when
+    // latency_stamping is on. It is read from the *latency* clock
+    // (options_.clock), which in tests is a ManualClock on a different
+    // timebase than the trace clock — queue wait is
     // (latency_eval_start − arrival), so both ends must come from the
     // same clock.
     int64_t latency_eval_start_micros = 0;
-    int64_t stage_window_micros = 0;  // Window + snapshot maintenance.
-    int64_t stage_match_micros = 0;   // Clause evaluation + report policy.
   };
 
   // Per-stream observability handles, cached so the Ingest hot path does
@@ -527,10 +540,10 @@ class ContinuousEngine {
   // Coordinator-side emit-latency accounting for one delivered
   // evaluation: advances the query's per-stream latency cursors over the
   // elements newly covered at `t` and records arrival→now into the
-  // query's and the fleet's emit-latency histograms, plus the per-stage
-  // breakdown carried in `out`.
+  // query's and the fleet's emit-latency histograms, plus each element's
+  // queue wait.
   void RecordEmitLatency(QueryState* state, Timestamp t,
-                         const PendingDelivery& out, int64_t sink_micros);
+                         const PendingDelivery& out);
   // Resolves (and caches) the observability handles of `stream`.
   StreamObs* ObsFor(const std::string& stream);
   // Refreshes every stream's lag gauge against the engine clock (called

@@ -55,7 +55,7 @@ struct DeadLetterEntry {
 };
 
 // An in-memory dead-letter queue (bounded only by what the run rejects;
-// a permanently failing sink is quarantined, which caps its inflow).
+// a quarantined sink's results all land here until it is revived).
 // Not thread-safe, like the engine that feeds it.
 class DeadLetterQueue {
  public:

@@ -319,22 +319,7 @@ Result<QueryStats> ShardedEngine::StatsFor(const std::string& name) const {
     SERAPH_ASSIGN_OR_RETURN(
         QueryStats stats,
         shards_[static_cast<size_t>(s)]->engine->StatsFor(name));
-    total.evaluations += stats.evaluations;
-    total.reused_results += stats.reused_results;
-    total.rows_emitted += stats.rows_emitted;
-    total.result_rows += stats.result_rows;
-    total.snapshots_incremental += stats.snapshots_incremental;
-    total.snapshots_rebuilt += stats.snapshots_rebuilt;
-    total.window_elements_added += stats.window_elements_added;
-    total.window_elements_evicted += stats.window_elements_evicted;
-    total.fresh_executions += stats.fresh_executions;
-    total.window_micros += stats.window_micros;
-    total.snapshot_micros += stats.snapshot_micros;
-    total.match_micros += stats.match_micros;
-    total.policy_micros += stats.policy_micros;
-    total.sink_micros += stats.sink_micros;
-    total.eval_failures += stats.eval_failures;
-    if (!stats.last_error.ok()) total.last_error = stats.last_error;
+    total += stats;
   }
   return total;
 }
@@ -413,27 +398,42 @@ Status ShardedEngine::ProduceWithBackpressure(
     int shard_index, Lane* lane, std::shared_ptr<const PropertyGraph> graph,
     Timestamp timestamp) {
   constexpr int kMaxAttempts = 64;
-  Status status;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    status = lane->queue->Produce(graph, timestamp);
-    if (status.ok() || !status.IsTransient()) return status;
-    ++producer_retries_;
-    // Backpressure: drain only this shard's lanes so retention can trim
-    // the queue — the other shards keep running untouched. A durable lane
-    // trims only below the checkpoint horizon, which moves only when a
-    // batch barrier commits, so the pump also advances the clock when the
-    // refused element is strictly newer than the shard watermark: then no
-    // equal-timestamp sibling can still be pending. Otherwise advancing
-    // would evaluate that instant before this element arrives.
+  EventQueue* queue = lane->queue.get();
+  const size_t capacity = queue->options().capacity;
+  // Backpressure: drain only this shard's lanes so retention can trim
+  // the queue — the other shards keep running untouched. A durable lane
+  // trims only below the checkpoint horizon, which moves only when a
+  // batch barrier commits, so the pump also advances the clock when the
+  // refused element is strictly newer than the shard watermark: then no
+  // equal-timestamp sibling can still be pending. Otherwise advancing
+  // would evaluate that instant before this element arrives.
+  auto pump = [&]() -> Status {
     const Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
     const bool advance = shard->any_ingested &&
                          timestamp.millis() > shard->watermark_millis;
     SERAPH_RETURN_IF_ERROR(PumpShard(shard_index, advance));
-    // Nothing else drains a lane, so a pump that freed no slot means no
-    // retry (or block) can succeed: the queue holds more than one
-    // checkpoint interval's worth of elements.
-    lane->queue->TrimCommitted();
-    if (lane->queue->depth() >= lane->queue->options().capacity) {
+    queue->TrimCommitted();
+    return Status::OK();
+  };
+  // Nothing else drains a lane, so under block and reject a full lane
+  // makes room before producing: otherwise block would wait out its whole
+  // timeout and reject would refuse (and count) an element the pump then
+  // admits. shed_oldest evicts instead, by contract.
+  if (capacity > 0 &&
+      queue->options().overflow_policy != OverflowPolicy::kShedOldest) {
+    queue->TrimCommitted();
+    if (queue->depth() >= capacity) SERAPH_RETURN_IF_ERROR(pump());
+  }
+  Status status;
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    status = queue->Produce(graph, timestamp);
+    if (status.ok() || !status.IsTransient()) return status;
+    ++producer_retries_;
+    SERAPH_RETURN_IF_ERROR(pump());
+    // A pump that freed no slot means no retry (or block) can succeed:
+    // the queue holds more than one checkpoint interval's worth of
+    // elements.
+    if (queue->depth() >= capacity) {
       return Status::Unavailable(
           status.message() +
           "; the lane cannot free a slot before the next checkpoint "

@@ -214,15 +214,24 @@ TEST_F(FaultToleranceTest, PermanentlyFailingSinkIsQuarantinedAndIsolated) {
   EXPECT_TRUE(engine.SinkQuarantined("broken"));
   EXPECT_FALSE(engine.SinkQuarantined("healthy"));
   EXPECT_EQ(broken.calls(), 3);  // Stopped receiving after quarantine.
-  // The three rejected results were captured, not lost.
-  EXPECT_EQ(dlq.sink_results(), 3);
+  // All six results were captured, not lost: the three rejected ones and
+  // the three the quarantined sink never received.
+  ASSERT_EQ(dlq.sink_results(), 6);
   EXPECT_EQ(dlq.entries()[0].source, "broken");
   EXPECT_EQ(dlq.entries()[0].query, "q");
   EXPECT_EQ(dlq.entries()[0].error.code(), StatusCode::kEvaluationError);
-  // Metrics: failures counted, quarantine gauge raised.
+  EXPECT_EQ(dlq.entries()[3].source, "broken");
+  EXPECT_EQ(dlq.entries()[3].timestamp, T(20));
+  EXPECT_EQ(dlq.entries()[3].attempts, 0);
+  EXPECT_EQ(dlq.entries()[3].error.code(), StatusCode::kUnavailable);
+  // Metrics: failures counted (a quarantined sink is not called, so it
+  // does not fail), every dead letter counted, quarantine gauge raised.
   EXPECT_EQ(engine.metrics().FindCounter("seraph_sink_failures_total",
                                          {{"sink", "broken"}})->value(),
             3);
+  EXPECT_EQ(engine.metrics().FindCounter("seraph_sink_dead_lettered_total",
+                                         {{"sink", "broken"}})->value(),
+            6);
   EXPECT_EQ(engine.metrics().FindGauge("seraph_sink_quarantined",
                                        {{"sink", "broken"}})->value(),
             1);

@@ -101,7 +101,7 @@ TEST(EmitLatencyTest, ElementsChargedOncePerQuery) {
 }
 
 // The queue-wait stage is (evaluation start − arrival) on the same
-// clock; the evaluation-side stages record once per delivered emit.
+// clock.
 TEST(EmitLatencyTest, StageBreakdownRecorded) {
   ManualClock clock(1'000);
   EngineOptions options;
@@ -123,11 +123,6 @@ TEST(EmitLatencyTest, StageBreakdownRecorded) {
   // 1000, evaluations all started at clock 3000.
   EXPECT_EQ(stage("queue")->Snapshot().count, 1);
   EXPECT_EQ(stage("queue")->Snapshot().sum, 2'000);
-  // Two delivered evaluations → two samples of each per-emit stage.
-  for (const char* name : {"window", "match", "deliver"}) {
-    ASSERT_NE(stage(name), nullptr) << name;
-    EXPECT_EQ(stage(name)->Snapshot().count, 2) << name;
-  }
 }
 
 // With latency_stamping off, no samples are recorded anywhere (the

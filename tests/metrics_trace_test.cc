@@ -3,7 +3,9 @@
 // instrumentation, and the configurable logging sink.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -234,41 +236,91 @@ TEST(MetricsRegistryTest, JsonFormat) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceRecorder / TraceSpan
+// TraceRecorder / StageTimer
 // ---------------------------------------------------------------------------
 
 TEST(TraceTest, DisabledRecorderRecordsNothing) {
   TraceRecorder recorder;  // Disabled by default.
-  {
-    TraceSpan span(&recorder, "work", "test");
-    EXPECT_FALSE(span.recording());
-  }
-  {
-    TraceSpan span(nullptr, "work", "test");
-    EXPECT_FALSE(span.recording());
+  TraceRecorder* null_recorder = nullptr;
+  for (TraceRecorder* tracer : {&recorder, null_recorder}) {
+    StageTimer timer(tracer, "work", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // No destination: the args are never built and the clock never read
+    // (a real reading would span the sleep).
+    bool built = false;
+    const int64_t micros = timer.Stop([&] {
+      built = true;
+      return TraceArgs{};
+    });
+    EXPECT_EQ(micros, 0);
+    EXPECT_FALSE(built);
   }
   recorder.AddComplete("x", "test", 0, 1);
   recorder.AddInstant("y", "test", 0);
   EXPECT_EQ(recorder.size(), 0u);
 }
 
-TEST(TraceTest, SpanRecordsCompleteEventWithArgs) {
+TEST(TraceTest, StageTimerWritesEachDestinationOnce) {
   TraceRecorder recorder;
   recorder.Enable();
-  {
-    TraceSpan span(&recorder, "match", "engine");
-    EXPECT_TRUE(span.recording());
-    span.AddArg("query", "q1");
-  }
+  Histogram histogram;
+  int64_t total = 5;
+  StageTimer timer(&recorder, "match", "engine", &histogram, &total);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const int64_t micros =
+      timer.Stop([] { return TraceArgs{{"query", "q1"}}; });
+  EXPECT_GE(micros, 2000);
+  EXPECT_EQ(total, 5 + micros);
+  EXPECT_EQ(histogram.count(), 1);
+  EXPECT_EQ(histogram.sum(), micros);
   ASSERT_EQ(recorder.size(), 1u);
   const TraceRecorder::Event& event = recorder.events()[0];
   EXPECT_EQ(event.name, "match");
   EXPECT_EQ(event.category, "engine");
   EXPECT_EQ(event.phase, 'X');
-  EXPECT_GE(event.dur_micros, 0);
+  EXPECT_EQ(event.dur_micros, micros);
   ASSERT_EQ(event.args.size(), 1u);
   EXPECT_EQ(event.args[0].first, "query");
   EXPECT_EQ(event.args[0].second, "q1");
+}
+
+TEST(TraceTest, StageTimerTimesWithoutTracing) {
+  TraceRecorder recorder;  // Disabled: a histogram alone still times.
+  Histogram histogram;
+  StageTimer timer(&recorder, "checkpoint", "persist", &histogram);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const int64_t micros = timer.Stop();
+  EXPECT_GE(micros, 2000);
+  EXPECT_EQ(histogram.sum(), micros);
+  EXPECT_EQ(recorder.size(), 0u);
+}
+
+TEST(TraceTest, ExcludedChildTimeLeavesTheSpanWhole) {
+  TraceRecorder recorder;
+  recorder.Enable();
+  Histogram histogram;
+  int64_t total = 0;
+  StageTimer timer(&recorder, "window_maintenance", "engine", &histogram,
+                   &total);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  timer.Exclude(1000);
+  const int64_t self = timer.Stop();
+  EXPECT_GE(self, 1000);
+  EXPECT_EQ(total, self);
+  EXPECT_EQ(histogram.sum(), self);
+  ASSERT_EQ(recorder.size(), 1u);
+  EXPECT_EQ(recorder.events()[0].dur_micros, self + 1000);
+}
+
+TEST(TraceTest, StageTimerWithoutStopRecordsNothing) {
+  TraceRecorder recorder;
+  recorder.Enable();
+  Histogram histogram;
+  int64_t total = 0;
+  { StageTimer timer(&recorder, "snapshot", "engine", &histogram, &total); }
+  EXPECT_EQ(recorder.size(), 0u);
+  EXPECT_EQ(histogram.count(), 0);
+  EXPECT_EQ(total, 0);
 }
 
 TEST(TraceTest, JsonExportIsChromeTraceShaped) {
@@ -322,35 +374,72 @@ TEST(EngineObservabilityTest, StatsForUnknownQueryIsNotFound) {
   EXPECT_EQ(latency.status().code(), StatusCode::kNotFound);
 }
 
+// Every evaluation is timed once: per query, the stage histograms, the
+// QueryStats stage fields and the whole-evaluation histogram carry the
+// same durations, exactly, serial and with parallel evaluation.
 TEST(EngineObservabilityTest, StageHistogramsCoverEveryEvaluation) {
-  ContinuousEngine engine;
-  Replay(&engine, 12);
-  QueryStats stats = *engine.StatsFor("q");
-  ASSERT_GT(stats.evaluations, 0);
-  for (const char* stage : {"window", "snapshot", "match", "policy",
-                            "sink"}) {
-    const Histogram* h = engine.metrics().FindHistogram(
-        "seraph_stage_micros", {{"query", "q"}, {"stage", stage}});
-    ASSERT_NE(h, nullptr) << stage;
-    EXPECT_EQ(h->count(), stats.evaluations) << stage;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options;
+    options.eval_threads = threads;
+    ContinuousEngine engine(options);
+    // A second query due at the same instants makes every batch two
+    // queries wide, so four threads evaluate them in parallel.
+    ASSERT_TRUE(engine
+                    .RegisterText(R"(
+      REGISTER QUERY q2 STARTING AT '1970-01-01T00:05'
+      {
+        MATCH (b:Bike)-[r:rentedAt]->(s:Station)
+        WITHIN PT10M
+        EMIT s.id SNAPSHOT EVERY PT5M
+      })")
+                    .ok());
+    Replay(&engine, 12);
+    if (threads > 1) {
+      EXPECT_GT(engine.metrics()
+                    .FindCounter("seraph_engine_parallel_evals_total")
+                    ->value(),
+                0);
+    }
+    for (const char* query : {"q", "q2"}) {
+      SCOPED_TRACE(query);
+      QueryStats stats = *engine.StatsFor(query);
+      ASSERT_GT(stats.evaluations, 0);
+      const std::pair<const char*, int64_t> stages[] = {
+          {"window", stats.window_micros},
+          {"snapshot", stats.snapshot_micros},
+          {"match", stats.match_micros},
+          {"policy", stats.policy_micros},
+          {"sink", stats.sink_micros}};
+      int64_t stage_sum = 0;
+      int64_t stats_sum = 0;
+      for (const auto& [stage, stats_micros] : stages) {
+        const Histogram* h = engine.metrics().FindHistogram(
+            "seraph_stage_micros", {{"query", query}, {"stage", stage}});
+        ASSERT_NE(h, nullptr) << stage;
+        EXPECT_EQ(h->count(), stats.evaluations) << stage;
+        EXPECT_EQ(h->sum(), stats_micros) << stage;
+        stage_sum += h->sum();
+        stats_sum += stats_micros;
+      }
+      const Histogram* total = engine.metrics().FindHistogram(
+          "seraph_query_eval_micros", {{"query", query}});
+      ASSERT_NE(total, nullptr);
+      EXPECT_EQ(total->count(), stats.evaluations);
+      EXPECT_EQ(total->sum(), stage_sum);
+      EXPECT_EQ(total->sum(), stats_sum);
+      EXPECT_EQ(engine.LatencyFor(query)->sum, total->sum());
+      // The registry's evaluation counter agrees with QueryStats, and the
+      // reuse split partitions the evaluations.
+      EXPECT_EQ(engine.metrics()
+                    .FindCounter("seraph_query_evaluations_total",
+                                 {{"query", query}})
+                    ->value(),
+                stats.evaluations);
+      EXPECT_EQ(stats.reused_results + stats.fresh_executions,
+                stats.evaluations);
+    }
   }
-  const Histogram* total = engine.metrics().FindHistogram(
-      "seraph_query_eval_micros", {{"query", "q"}});
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->count(), stats.evaluations);
-  // The registry's evaluation counter agrees with QueryStats, and the
-  // reuse split partitions the evaluations.
-  EXPECT_EQ(engine.metrics()
-                .FindCounter("seraph_query_evaluations_total",
-                             {{"query", "q"}})
-                ->value(),
-            stats.evaluations);
-  EXPECT_EQ(stats.reused_results + stats.fresh_executions,
-            stats.evaluations);
-  // Stage micros in QueryStats match the histogram sums.
-  const Histogram* match = engine.metrics().FindHistogram(
-      "seraph_stage_micros", {{"query", "q"}, {"stage", "match"}});
-  EXPECT_EQ(match->sum(), stats.match_micros);
 }
 
 TEST(EngineObservabilityTest, IngestionCountersPerStream) {

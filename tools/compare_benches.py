@@ -20,9 +20,12 @@ heterogeneous machines, so this is a regression *tripwire* (an order-of-
 magnitude slip, an accidentally quadratic path), not a precision gate.
 Benchmarks present on only one side are reported but never fail the run,
 so adding or retiring a benchmark does not need a baseline refresh in the
-same change.
+same change. A fresh google-benchmark result that reports an error
+(`"error_occurred": true`, from SkipWithError: a failed oracle diff or
+self-check) fails the run whether or not it has a baseline.
 
-Exit code: 0 = within thresholds (or nothing to compare), 1 = regression.
+Exit code: 0 = within thresholds (or nothing to compare), 1 = regression
+or a bench error.
 """
 
 import argparse
@@ -54,6 +57,15 @@ def benchmark_times(doc):
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit, 1.0)
         times[name] = float(real_time) * scale
     return times
+
+
+def benchmark_errors(name, doc, failures):
+    """Adds a failure for every benchmark in `doc` that reported an error."""
+    for bench in doc.get("benchmarks", []):
+        if bench.get("error_occurred"):
+            message = bench.get("error_message", "")
+            print(f"{name}: [ERROR] {bench.get('name')}: {message}")
+            failures.append(f"{name}: {bench.get('name')} failed: {message}")
 
 
 def compare_google_benchmark(name, baseline, fresh, threshold, failures):
@@ -129,6 +141,11 @@ def main():
                if f.startswith("BENCH_") and f.endswith(".json")}
 
     failures = []
+    for file_name in sorted(results):
+        fresh = load_json(os.path.join(args.results_dir, file_name))
+        if is_google_benchmark(fresh):
+            benchmark_errors(file_name, fresh, failures)
+
     compared = 0
     for file_name in sorted(baselines | results):
         if file_name not in baselines:
@@ -148,14 +165,14 @@ def main():
                             args.latency_threshold, failures)
         compared += 1
 
-    if not compared:
-        print("no overlapping benchmark files; nothing compared")
-        return 0
     if failures:
-        print("\nbenchmark regressions:", file=sys.stderr)
+        print("\nbenchmark regressions and errors:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
+    if not compared:
+        print("no overlapping benchmark files; nothing compared")
+        return 0
     print(f"\nall {compared} benchmark file(s) within thresholds")
     return 0
 

@@ -3,7 +3,7 @@
 #
 #   cmake -DSERAPH_RUN=<binary> -DQUERY=<query.seraph> -DEVENTS=<events.log>
 #         -DEXPECTED=<expected.csv> -DWORK_DIR=<scratch dir>
-#         -DMODE=<memory|durable|restore|bounded|sink_chaos>
+#         -DMODE=<memory|durable|restore|bounded|progress|sink_chaos>
 #         -P golden_check.cmake
 #
 # memory / durable: the --csv output equals EXPECTED byte for byte; the
@@ -15,11 +15,14 @@
 #   full (--queue-capacity=2 --overflow-policy=reject) equals EXPECTED, and
 #   a --restore over it under the same bound prints no row: retention must
 #   free space through checkpoint commits, in the run and in the replay.
+# progress: --progress=3 over EVENTS whose 15:15 element is split into
+#   two elements of the same timestamp equals EXPECTED: a progress pump
+#   must not evaluate an instant whose elements have not all arrived.
 # sink_chaos: --dead-letter under SERAPH_FAULT_POINTS="sink.emit=0.8",
 #   seeded by SERAPH_FAULT_SEED from the environment. Every EXPECTED row
 #   appears exactly once: on stdout, or inside a dead-lettered result of
-#   the same query and evaluation time — except rows after a quarantine,
-#   which must appear nowhere. At least one result must be dead-lettered,
+#   the same query and evaluation time (a quarantined sink's results are
+#   dead-lettered too). At least one result must be dead-lettered,
 #   so the check never passes without exercising the retry -> dead-letter
 #   path (at 0.8 each delivery exhausts its three attempts with
 #   probability 0.51, over about a dozen evaluations).
@@ -77,6 +80,8 @@ elseif(MODE STREQUAL "bounded")
   if(NOT again STREQUAL "")
     message(FATAL_ERROR "the bounded --restore printed rows:\n${again}")
   endif()
+elseif(MODE STREQUAL "progress")
+  run_seraph(got --progress=3)
 elseif(MODE STREQUAL "sink_chaos")
   set(ENV{SERAPH_FAULT_POINTS} "sink.emit=0.8")
   run_seraph(printed --dead-letter=${WORK_DIR}/dlq.jsonl)
@@ -84,7 +89,6 @@ elseif(MODE STREQUAL "sink_chaos")
   set(keys)
   set(entries)
   set(dead_lettered 0)
-  set(last_dead_at "")
   if(EXISTS ${WORK_DIR}/dlq.jsonl)
     file(STRINGS ${WORK_DIR}/dlq.jsonl entries)
   endif()
@@ -95,9 +99,9 @@ elseif(MODE STREQUAL "sink_chaos")
     endif()
     math(EXPR dead_lettered "${dead_lettered} + 1")
     string(JSON query GET "${entry}" query)
-    string(JSON last_dead_at GET "${entry}" at)
+    string(JSON at GET "${entry}" at)
     string(JSON rows LENGTH "${entry}" rows)
-    string(MAKE_C_IDENTIFIER "${query},${last_dead_at}" id)
+    string(MAKE_C_IDENTIFIER "${query},${at}" id)
     add_count(dead_${id} ${rows})
     list(APPEND keys ${id})
   endforeach()
@@ -105,15 +109,7 @@ elseif(MODE STREQUAL "sink_chaos")
     message(FATAL_ERROR "no result was dead-lettered: the retry -> "
       "dead-letter path went unexercised")
   endif()
-  # Five straight lost deliveries quarantine the sink, the last of them
-  # dead-lettered at `last_dead_at`; by contract it then receives nothing
-  # more, so later golden rows are neither printed nor dead-lettered.
-  set(quarantined_at "")
-  if(run_seraph_err MATCHES "output sink quarantined")
-    set(quarantined_at "${last_dead_at}")
-  endif()
-  # Printed rows must be golden rows, each printed at most once, and none
-  # after the quarantine.
+  # Printed rows must be golden rows, each printed at most once.
   set(pool "${expected}")
   drop_first_line(pool)
   drop_first_line(printed)
@@ -126,21 +122,11 @@ elseif(MODE STREQUAL "sink_chaos")
     if(index EQUAL -1)
       message(FATAL_ERROR "printed row is not golden or printed twice: ${row}")
     endif()
-    string(REGEX MATCH "^[^,]*,([^,]*)" key "${row}")
-    if(NOT quarantined_at STREQUAL "" AND
-       CMAKE_MATCH_1 STRGREATER quarantined_at)
-      message(FATAL_ERROR "row printed after the quarantine: ${row}")
-    endif()
     list(REMOVE_AT pool ${index})
   endforeach()
-  # Every golden row left over, up to the quarantine, must be in the
-  # dead-letter file.
+  # Every golden row left over must be in the dead-letter file.
   foreach(row IN LISTS pool)
     string(REGEX MATCH "^[^,]*,([^,]*)" key "${row}")
-    if(NOT quarantined_at STREQUAL "" AND
-       CMAKE_MATCH_1 STRGREATER quarantined_at)
-      continue()
-    endif()
     string(MAKE_C_IDENTIFIER "${key}" id)
     add_count(missing_${id} 1)
     list(APPEND keys ${id})
@@ -154,10 +140,9 @@ elseif(MODE STREQUAL "sink_chaos")
         "from stdout, ${dead_${id}} dead-lettered")
     endif()
   endforeach()
-  if(quarantined_at STREQUAL "")
-    set(quarantine "no quarantine")
-  else()
-    set(quarantine "sink quarantined after ${quarantined_at}")
+  set(quarantine "no quarantine")
+  if(run_seraph_err MATCHES "output sink quarantined")
+    set(quarantine "sink quarantined")
   endif()
   message(STATUS "sink chaos: ${dead_lettered} dead-lettered result(s), "
     "${quarantine}; every golden row delivered or dead-lettered once")

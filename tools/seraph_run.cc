@@ -14,7 +14,8 @@
 //
 // Observability: --metrics dumps the fleet's Prometheus text after the
 // run, --trace writes a Chrome trace-event file, --progress=<n> pumps and
-// prints the fleet status every n events (the log must be chronological),
+// prints the fleet status every n events, once the last of them is the
+// last event of its instant (the log must be chronological),
 // --metrics-port serves /metrics, /queries, /shards/<i>/metrics and
 // /healthz live, --stats-interval prints the one-line fleet status.
 // --dead-letter writes dead-lettered entries as JSON lines;
@@ -232,14 +233,22 @@ int main(int argc, char** argv) {
                           : "no checkpoint in '" + dir + "', cold-starting")
               << "; skipping " << skip << " logged event(s)\n";
   }
+  bool progress_due = false;
   for (size_t i = skip; i < events->size(); ++i) {
     const StreamElement& event = (*events)[i];
     if (auto sent = fleet.Ingest(event.graph, event.timestamp); !sent.ok()) {
       return Fail(sent.status().ToString());
     }
     if (opt.progress > 0 && (i + 1) % static_cast<size_t>(opt.progress) == 0) {
-      // Pumping evaluates up to this event, so the log must be in
-      // chronological order.
+      progress_due = true;
+    }
+    // Pumping evaluates up to this event's instant, so it waits until the
+    // next event is strictly newer (or the log ends): an event still to
+    // come at the same timestamp belongs to that instant.
+    if (progress_due && (i + 1 == events->size() ||
+                         (*events)[i + 1].timestamp > event.timestamp)) {
+      progress_due = false;
+      // The log must be in chronological order.
       if (Status s = fleet.PumpAll(); !s.ok()) {
         return Fail(s.ToString() +
                     " (--progress requires a chronological event log)");

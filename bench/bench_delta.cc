@@ -85,9 +85,23 @@ DeltaWorkload BuildWorkload(int window_minutes) {
   return out;
 }
 
+// Registers `query` on `engine`, ingests the whole workload and runs the
+// first evaluation: a full window build on both arms (delta pays its
+// index construction here). Returns false when the engine fails.
+bool Prepare(ContinuousEngine& engine, CountingSink& sink,
+             const DeltaWorkload& workload, const std::string& query) {
+  engine.AddSink(&sink);
+  if (!engine.RegisterText(query).ok()) return false;
+  for (const auto& [minute, graph] : workload.events) {
+    (void)engine.Ingest(graph, T(minute));
+  }
+  return engine.AdvanceTo(T(workload.fill_end)).ok();
+}
+
 // Times only the steady-state churn evaluations: engine construction,
 // stream ingestion, and the first evaluation (which pays the one-off
-// index build) run with the timer paused.
+// index build) run with the timer paused. The full arm is the reference:
+// delta matching must emit the rows a full re-match emits.
 void BM_WindowScaling(benchmark::State& state) {
   const bool delta = state.range(0) != 0;
   const int multiplier = static_cast<int>(state.range(1));
@@ -99,6 +113,7 @@ void BM_WindowScaling(benchmark::State& state) {
       std::to_string(window_minutes) +
       "M EMIT a.v AS av, b.v AS bv SNAPSHOT EVERY PT1M }";
   int64_t evals = 0;
+  int64_t rows = 0;
   std::optional<ContinuousEngine> engine;
   CountingSink sink;
   benchsupport::StageCounters stages;
@@ -107,20 +122,11 @@ void BM_WindowScaling(benchmark::State& state) {
     EngineOptions options;
     options.delta_matching = delta;
     engine.emplace(options);
-    engine->AddSink(&sink);
-    if (!engine->RegisterText(query).ok()) {
-      state.SkipWithError("register failed");
+    if (!Prepare(*engine, sink, workload, query)) {
+      state.SkipWithError("warmup failed");
       return;
     }
-    for (const auto& [minute, graph] : workload.events) {
-      (void)engine->Ingest(graph, T(minute));
-    }
-    // First evaluation: full window build on both arms (delta pays its
-    // index construction here), excluded from the steady-state timing.
-    if (!engine->AdvanceTo(T(workload.fill_end)).ok()) {
-      state.SkipWithError("warmup advance failed");
-      return;
-    }
+    const int64_t rows_before = sink.rows();
     state.ResumeTiming();
     stages.Begin(&*engine, "q");
     if (!engine->AdvanceTo(T(workload.end + 1)).ok()) {
@@ -129,6 +135,24 @@ void BM_WindowScaling(benchmark::State& state) {
     }
     if (!stages.End(state, *engine, "q")) return;
     evals += static_cast<int64_t>(engine->StatsFor("q")->evaluations) - 1;
+    rows = sink.rows() - rows_before;
+  }
+  EngineOptions reference_options;
+  reference_options.delta_matching = false;
+  ContinuousEngine reference(reference_options);
+  CountingSink reference_sink;
+  if (!Prepare(reference, reference_sink, workload, query)) {
+    state.SkipWithError("reference warmup failed");
+    return;
+  }
+  const int64_t reference_before = reference_sink.rows();
+  if (!reference.AdvanceTo(T(workload.end + 1)).ok()) {
+    state.SkipWithError("reference advance failed");
+    return;
+  }
+  if (!benchsupport::SameRowsAsReference(
+          state, rows, reference_sink.rows() - reference_before)) {
+    return;
   }
   state.counters["evals"] = static_cast<double>(evals) / state.iterations();
   state.counters["window_nodes"] =

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_observability.h"
 #include "seraph/continuous_engine.h"
 #include "workloads/bike_sharing.h"
 
@@ -18,27 +19,30 @@ namespace {
 // The full running-example pipeline end to end, toggled on stamping.
 // Everything else (queries, events, sinks) is identical across the two
 // arms, so the delta isolates the cost of NowMicros stamping at ingest
-// plus the cursor walk and histogram records at delivery.
+// plus the cursor walk and histogram records at delivery. Stamping must
+// not change the answer: the stamping-off arm is the reference.
 void BM_StampingOverheadGuard(benchmark::State& state) {
   const bool stamping = state.range(0) != 0;
   std::vector<workloads::Event> events =
       workloads::BuildRunningExampleStream();
   int64_t latency_samples = 0;
+  int64_t rows = 0;
   for (auto _ : state) {
     EngineOptions options;
     options.latency_stamping = stamping;
     ContinuousEngine engine(options);
-    CollectingSink sink;
-    engine.AddSink(&sink);
-    (void)engine.RegisterText(workloads::RunningExampleSeraphQuery());
-    for (const auto& event : events) {
-      (void)engine.Ingest(event.graph, event.timestamp);
-    }
-    (void)engine.Drain();
+    rows = benchsupport::ReplayRunningExample(engine, events);
     benchmark::DoNotOptimize(engine);
     const Histogram* h =
         engine.metrics().FindHistogram("seraph_engine_emit_latency_micros");
     latency_samples = h != nullptr ? h->Snapshot().count : 0;
+  }
+  EngineOptions reference_options;
+  reference_options.latency_stamping = false;
+  ContinuousEngine reference(reference_options);
+  if (!benchsupport::SameRowsAsReference(
+          state, rows, benchsupport::ReplayRunningExample(reference, events))) {
+    return;
   }
   // Stamping on must actually record; off must record nothing — the
   // counter makes a silently-broken arm visible in the bench output.

@@ -1,8 +1,9 @@
-// Shared bench plumbing for the engine's observability layer: fold the
-// per-stage pipeline breakdown of the timed regions into google-benchmark
-// user counters (so `--benchmark_format=json` / BENCH_*.json rows carry
-// stage costs, not just wall time) and dump the whole metrics registry as
-// a tagged JSON line on stderr for ad-hoc inspection.
+// Shared bench plumbing: fold the per-stage pipeline breakdown of the
+// timed regions into google-benchmark user counters (so
+// `--benchmark_format=json` / BENCH_*.json rows carry stage costs, not
+// just wall time), check that an ablation's arms agree on their answer,
+// replay the paper's running example, and dump the whole metrics registry as a tagged JSON line on stderr for
+// ad-hoc inspection.
 #ifndef SERAPH_BENCH_BENCH_OBSERVABILITY_H_
 #define SERAPH_BENCH_BENCH_OBSERVABILITY_H_
 
@@ -11,9 +12,11 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/trace.h"
 #include "seraph/continuous_engine.h"
+#include "workloads/bike_sharing.h"
 
 namespace seraph {
 namespace benchsupport {
@@ -97,6 +100,38 @@ class StageCounters {
   int64_t wall_micros_ = 0;
   StageTimer wall_;
 };
+
+// Ablation arms must compute the same answer: reports `rows` and fails
+// the bench when it differs from the reference arm's count. Returns
+// whether they agree.
+inline bool SameRowsAsReference(benchmark::State& state, int64_t rows,
+                                int64_t reference) {
+  state.counters["rows"] = static_cast<double>(rows);
+  if (rows == reference) return true;
+  state.SkipWithError(("arm computed " + std::to_string(rows) +
+                       " rows, the reference arm " +
+                       std::to_string(reference))
+                          .c_str());
+  return false;
+}
+
+// The continuous replay of Listing 5 over the Figure-1 stream on
+// `engine`. Returns the rows it emitted.
+inline int64_t ReplayRunningExample(
+    ContinuousEngine& engine, const std::vector<workloads::Event>& events) {
+  CollectingSink sink;
+  engine.AddSink(&sink);
+  (void)engine.RegisterText(workloads::RunningExampleSeraphQuery());
+  for (const auto& event : events) {
+    (void)engine.Ingest(event.graph, event.timestamp);
+  }
+  (void)engine.Drain();
+  int64_t rows = 0;
+  for (const auto& entry : sink.ResultsFor("student_trick").entries()) {
+    rows += static_cast<int64_t>(entry.table.size());
+  }
+  return rows;
+}
 
 // One tagged JSON line on stderr (stdout belongs to the benchmark
 // reporter): `SERAPH_ENGINE_METRICS <tag> {...}`.

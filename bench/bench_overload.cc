@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "bench_observability.h"
 #include "graph/graph_builder.h"
 #include "seraph/continuous_engine.h"
 #include "seraph/stream_driver.h"
@@ -69,6 +70,7 @@ void BM_DegradedCatchUp(benchmark::State& state) {
   const int kEvents = 4096;
   auto graph = OneNode();
   int64_t degraded_entries = 0;
+  int64_t delivered_total = 0;
   for (auto _ : state) {
     state.PauseTiming();
     EventQueue queue;
@@ -87,6 +89,12 @@ void BM_DegradedCatchUp(benchmark::State& state) {
     auto delivered = driver.PumpAll();
     benchmark::DoNotOptimize(delivered);
     degraded_entries = driver.degraded_entries();
+    delivered_total = driver.delivered_total();
+  }
+  // Both arms must hand every element over: degraded mode only changes
+  // the batch size.
+  if (!benchsupport::SameRowsAsReference(state, delivered_total, kEvents)) {
+    return;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kEvents);
   // Makes a silently-disarmed degraded arm visible in the output.

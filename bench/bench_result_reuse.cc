@@ -1,7 +1,8 @@
 // Ablation: result reuse on unchanged window contents (§6 "avoidable
 // re-executions"). A bursty stream leaves many consecutive evaluation
 // instants with identical active substreams; with reuse enabled those
-// evaluations skip matching entirely.
+// evaluations skip matching entirely. It is the one measurement of
+// EngineOptions::reuse_unchanged_windows.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -33,12 +34,33 @@ std::vector<workloads::Event> BurstyStream(int bursts, int quiet_minutes) {
   return all;
 }
 
+// Registers the query, ingests `events` and drains the engine. Returns
+// false when the engine fails.
+bool Replay(ContinuousEngine& engine, CountingSink& sink,
+            const std::vector<workloads::Event>& events) {
+  engine.AddSink(&sink);
+  (void)engine.RegisterText(R"(
+    REGISTER QUERY q STARTING AT '1970-01-01T00:05'
+    {
+      MATCH (b:Bike)-[r:rentedAt]->(s:Station)
+      WITHIN PT20M
+      EMIT r.user_id, s.id ON ENTERING EVERY PT1M
+    })");
+  for (const auto& event : events) {
+    (void)engine.Ingest(event.graph, event.timestamp);
+  }
+  return engine.Drain().ok();
+}
+
+// The no-reuse arm is the reference: a reused result must be the one a
+// fresh evaluation would have emitted.
 void BM_BurstyStream(benchmark::State& state) {
   bool reuse = state.range(0) != 0;
   int quiet = static_cast<int>(state.range(1));
   auto events = BurstyStream(4, quiet);
   int64_t reused = 0;
   int64_t evals = 0;
+  int64_t rows = 0;
   std::optional<ContinuousEngine> engine;
   benchsupport::StageCounters stages;
   for (auto _ : state) {
@@ -47,18 +69,7 @@ void BM_BurstyStream(benchmark::State& state) {
     options.reuse_unchanged_windows = reuse;
     engine.emplace(options);
     CountingSink sink;
-    engine->AddSink(&sink);
-    (void)engine->RegisterText(R"(
-      REGISTER QUERY q STARTING AT '1970-01-01T00:05'
-      {
-        MATCH (b:Bike)-[r:rentedAt]->(s:Station)
-        WITHIN PT20M
-        EMIT r.user_id, s.id ON ENTERING EVERY PT1M
-      })");
-    for (const auto& event : events) {
-      (void)engine->Ingest(event.graph, event.timestamp);
-    }
-    if (!engine->Drain().ok()) {
+    if (!Replay(*engine, sink, events)) {
       state.SkipWithError("drain failed");
       return;
     }
@@ -66,6 +77,18 @@ void BM_BurstyStream(benchmark::State& state) {
     QueryStats stats = *engine->StatsFor("q");
     reused += stats.reused_results;
     evals += stats.evaluations;
+    rows = sink.rows();
+  }
+  EngineOptions reference_options;
+  reference_options.reuse_unchanged_windows = false;
+  ContinuousEngine reference(reference_options);
+  CountingSink reference_sink;
+  if (!Replay(reference, reference_sink, events)) {
+    state.SkipWithError("reference drain failed");
+    return;
+  }
+  if (!benchsupport::SameRowsAsReference(state, rows, reference_sink.rows())) {
+    return;
   }
   state.counters["evaluations"] =
       static_cast<double>(evals) / state.iterations();

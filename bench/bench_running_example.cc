@@ -76,8 +76,15 @@ void BM_Table2_OneTimeCypher(benchmark::State& state) {
 }
 BENCHMARK(BM_Table2_OneTimeCypher);
 
+// The rows a default engine emits over the replay: every arm below must
+// emit the same.
+int64_t ReferenceRows(const std::vector<workloads::Event>& events) {
+  ContinuousEngine engine;
+  return benchsupport::ReplayRunningExample(engine, events);
+}
+
 // Tables 5/6: full continuous replay (register, ingest 5 events, run the
-// 12-instant ET grid).
+// 12-instant ET grid), incremental vs. rebuilt snapshots.
 void BM_Tables5and6_ContinuousReplay(benchmark::State& state) {
   bool incremental = state.range(0) != 0;
   std::vector<workloads::Event> events =
@@ -90,20 +97,12 @@ void BM_Tables5and6_ContinuousReplay(benchmark::State& state) {
     EngineOptions options;
     options.incremental_snapshots = incremental;
     engine.emplace(options);
-    CollectingSink sink;
-    engine->AddSink(&sink);
-    (void)engine->RegisterText(workloads::RunningExampleSeraphQuery());
-    for (const auto& event : events) {
-      (void)engine->Ingest(event.graph, event.timestamp);
-    }
-    (void)engine->Drain();
+    rows = benchsupport::ReplayRunningExample(*engine, events);
     if (!stages.End(state, *engine, "student_trick")) return;
-    for (const auto& entry : sink.ResultsFor("student_trick").entries()) {
-      rows += static_cast<int64_t>(entry.table.size());
-    }
   }
-  state.counters["rows_per_replay"] =
-      static_cast<double>(rows) / state.iterations();
+  if (!benchsupport::SameRowsAsReference(state, rows, ReferenceRows(events))) {
+    return;
+  }
   stages.Report(state);
   state.SetLabel(incremental ? "incremental" : "rebuild");
 }
@@ -120,17 +119,12 @@ void BM_TracingOverheadGuard(benchmark::State& state) {
       workloads::BuildRunningExampleStream();
   TraceRecorder recorder;
   if (mode == 2) recorder.Enable();
+  int64_t rows = 0;
   for (auto _ : state) {
     EngineOptions options;
     if (mode >= 1) options.tracer = &recorder;
     ContinuousEngine engine(options);
-    CollectingSink sink;
-    engine.AddSink(&sink);
-    (void)engine.RegisterText(workloads::RunningExampleSeraphQuery());
-    for (const auto& event : events) {
-      (void)engine.Ingest(event.graph, event.timestamp);
-    }
-    (void)engine.Drain();
+    rows = benchsupport::ReplayRunningExample(engine, events);
     benchmark::DoNotOptimize(engine);
     if (mode == 2) {
       state.counters["trace_events"] =
@@ -138,6 +132,7 @@ void BM_TracingOverheadGuard(benchmark::State& state) {
       recorder.Clear();
     }
   }
+  benchsupport::SameRowsAsReference(state, rows, ReferenceRows(events));
   state.SetLabel(mode == 0   ? "no_recorder"
                  : mode == 1 ? "disabled_recorder"
                              : "enabled_recorder");

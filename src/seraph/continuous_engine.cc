@@ -713,13 +713,16 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
       // coordinator read worker-written per-query state without locks.
       // The barrier is watched: an evaluation still running past the
       // watchdog period is logged with the offending query's name and
-      // gauged — PR 3's isolation catches failures, this catches hangs.
-      // The coordinator still waits (delivery order must hold); the
-      // watchdog makes the hang diagnosable, a cooperative deadline
+      // gauged (seraph_engine_stuck_evals); query isolation catches
+      // failures, this catches hangs. The period is 4x the cooperative
+      // deadline (at least 100 ms), which should have fired long before,
+      // else 10 s. Wall-clock by necessity: the watchdog detects stuck
+      // threads that no injectable clock tick would ever reach. The
+      // coordinator still waits (delivery order must hold); the watchdog
+      // makes the hang diagnosable, a cooperative deadline
       // (eval_deadline_millis) is what unwedges it.
       const int64_t watchdog_ms =
-          options_.watchdog_millis > 0 ? options_.watchdog_millis
-          : options_.eval_deadline_millis > 0
+          options_.eval_deadline_millis > 0
               ? std::max<int64_t>(4 * options_.eval_deadline_millis, 100)
               : 10'000;
       bool any_stuck = false;

@@ -20,11 +20,6 @@ void StreamDriver::EnsureMetrics() {
   reorder_pending_gauge_ =
       registry.GaugeFor("seraph_driver_reorder_pending", labels);
   degraded_gauge_ = registry.GaugeFor("seraph_driver_degraded", labels);
-  shed_counter_ = registry.CounterFor(
-      "seraph_shed_total",
-      {{"component", "driver"}, {"consumer", options_.consumer}});
-  reorder_dropped_counter_ =
-      registry.CounterFor("seraph_reorder_dropped_total", labels);
   stream_shed_gauge_ = registry.GaugeFor(
       "seraph_stream_shed_total",
       {{"stream", options_.target_stream.empty() ? "<default>"
@@ -43,12 +38,10 @@ void StreamDriver::UpdateBacklogGauges() {
                       static_cast<int64_t>(pending_.size()));
   reorder_pending_gauge_->Set(
       reorder_.has_value() ? static_cast<int64_t>(reorder_->pending()) : 0);
-  // Cumulative elements this stream lost to overload, across all layers
-  // that can shed: the bounded queue, degraded-mode sampling, and the
-  // reorder pending-set cap. Exact by construction — each layer counts
-  // at the moment it drops.
-  stream_shed_gauge_->Set(queue_->shed_total() + shed_total_ +
-                          reorder_overflow_total_);
+  // Cumulative elements this stream lost to overload: the bounded
+  // queue is the one layer that sheds, and it counts at the moment it
+  // drops.
+  stream_shed_gauge_->Set(queue_->shed_total());
 }
 
 void StreamDriver::UpdateDegradedState() {
@@ -82,15 +75,6 @@ void StreamDriver::UpdateDegradedState() {
                      << "' recovered from degraded mode: event-time lag "
                      << lag_millis << " ms <= "
                      << options_.shed_lag_millis / 2 << " ms";
-  }
-}
-
-void StreamDriver::DeadLetterShed(const StreamElement& element,
-                                  const char* reason) {
-  if (options_.dead_letter != nullptr) {
-    options_.dead_letter->AddElement(options_.consumer, element,
-                                     Status::Unavailable(reason),
-                                     /*attempts=*/0);
   }
 }
 
@@ -195,39 +179,13 @@ Result<int64_t> StreamDriver::PumpAll() {
     size_t consumed = 0;  // Elements of this batch safely handed off.
     Status error;
     for (const StreamElement& element : *batch) {
-      // Degraded-mode sampling shed: every Nth polled element is dropped
-      // — dead-lettered and counted exactly — instead of delivered, so a
-      // driver that cannot keep up trades bounded, accounted loss for
-      // catching up. The offset commits past shed elements like past
-      // delivered ones.
-      if (degraded_ && options_.shed_sample_every > 0 &&
-          ++shed_stride_ % options_.shed_sample_every == 0) {
-        DeadLetterShed(element, "shed: driver degraded (overload)");
-        ++shed_total_;
-        shed_counter_->Increment();
-        ++consumed;
-        continue;
-      }
       if (reorder_.has_value()) {
         // Offering transfers custody to the (driver-owned) buffer: the
-        // element is either held, counted as a late drop, or refused /
-        // displaced by the pending-set cap. Releases are parked in
-        // pending_ so a failed delivery cannot lose them (they are no
-        // longer re-pollable from the queue).
-        const int64_t overflow_before = reorder_->overflow_dropped();
-        const bool accepted = reorder_->Offer(element);
+        // element is either held or counted as a late drop. Releases are
+        // parked in pending_ so a failed delivery cannot lose them (they
+        // are no longer re-pollable from the queue).
+        reorder_->Offer(element);
         ++consumed;
-        if (!accepted && reorder_->overflow_dropped() > overflow_before) {
-          // Refused by the cap (reject policy), not a late drop.
-          DeadLetterShed(element, "reorder pending-set cap (reject)");
-          ++reorder_overflow_total_;
-          reorder_dropped_counter_->Increment();
-        }
-        for (StreamElement& evicted : reorder_->TakeOverflow()) {
-          DeadLetterShed(evicted, "reorder pending-set cap (shed_oldest)");
-          ++reorder_overflow_total_;
-          reorder_dropped_counter_->Increment();
-        }
         for (StreamElement& released : reorder_->Release()) {
           pending_.push_back(std::move(released));
         }

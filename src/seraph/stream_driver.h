@@ -72,16 +72,6 @@ class StreamDriver {
     // Poll batch while degraded (0 = 4x poll_batch): larger batches cut
     // per-pump overhead while catching up.
     size_t degraded_poll_batch = 0;
-    // While degraded, shed every Nth polled element instead of
-    // delivering it (sampling-based shed; 0 = never shed). Shed elements
-    // are dead-lettered and counted exactly in
-    // seraph_shed_total{component="driver"}.
-    int shed_sample_every = 0;
-    // Reorder pending-set cap (0 = unbounded) and its overflow policy;
-    // cap-dropped elements are dead-lettered and counted in
-    // seraph_reorder_dropped_total.
-    size_t reorder_capacity = 0;
-    OverflowPolicy reorder_overflow = OverflowPolicy::kShedOldest;
     // When false, the driver delivers elements but never calls
     // engine->AdvanceTo(): the caller owns the engine clock. Used by the
     // sharded tier, where several lanes feed one engine and the
@@ -99,12 +89,7 @@ class StreamDriver {
         reorder_(options_.allowed_lateness.has_value()
                      ? std::make_optional<ReorderBuffer>(
                            *options_.allowed_lateness)
-                     : std::nullopt) {
-    if (reorder_.has_value() && options_.reorder_capacity > 0) {
-      reorder_->SetCapacity(options_.reorder_capacity,
-                            options_.reorder_overflow);
-    }
-  }
+                     : std::nullopt) {}
 
   // Polls the queue until empty, delivering releasable elements to the
   // engine and advancing its clock to the delivered horizon (which
@@ -146,11 +131,6 @@ class StreamDriver {
   bool degraded() const { return degraded_; }
   // Times the driver entered degraded mode.
   int64_t degraded_entries() const { return degraded_entries_; }
-  // Elements shed by degraded-mode sampling (each one dead-lettered).
-  int64_t shed_total() const { return shed_total_; }
-  // Elements dropped by the reorder pending-set cap (each one
-  // dead-lettered).
-  int64_t reorder_overflow_total() const { return reorder_overflow_total_; }
 
  private:
   Status Deliver(const StreamElement& element);
@@ -172,9 +152,6 @@ class StreamDriver {
   // Enters/exits degraded mode against the current event-time lag
   // (hysteretic: in at shed_lag_millis, out at half of it).
   void UpdateDegradedState();
-  // Dead-letters an element lost to overload (sampling shed / reorder
-  // cap) so the (delivered ∪ dead-lettered) partition stays exact.
-  void DeadLetterShed(const StreamElement& element, const char* reason);
 
   EventQueue* queue_;
   ContinuousEngine* engine_;
@@ -195,9 +172,6 @@ class StreamDriver {
   // Degraded-mode state (see Options::shed_lag_millis).
   bool degraded_ = false;
   int64_t degraded_entries_ = 0;
-  int64_t shed_total_ = 0;
-  int64_t shed_stride_ = 0;
-  int64_t reorder_overflow_total_ = 0;
   // Cached registry handles (owned by the engine's registry).
   Counter* delivered_counter_ = nullptr;
   Counter* retries_counter_ = nullptr;
@@ -209,11 +183,9 @@ class StreamDriver {
   // occupancy.
   Gauge* backlog_gauge_ = nullptr;
   Gauge* reorder_pending_gauge_ = nullptr;
-  // Overload surface: degraded-mode flag, exact shed counters, and the
-  // per-stream cumulative shed gauge (queue + driver + reorder losses).
+  // Overload surface: degraded-mode flag and the per-stream cumulative
+  // shed gauge (the bounded queue's losses).
   Gauge* degraded_gauge_ = nullptr;
-  Counter* shed_counter_ = nullptr;
-  Counter* reorder_dropped_counter_ = nullptr;
   Gauge* stream_shed_gauge_ = nullptr;
 };
 

@@ -636,7 +636,7 @@ ShardedEngine::LaneTotals ShardedEngine::Totals() const {
     totals.dead_letters += static_cast<int64_t>(shard->dead_letters.size());
     for (const auto& [stream, lane] : shard->lanes) {
       totals.delivered += lane->driver->delivered_total();
-      totals.shed += lane->queue->shed_total() + lane->driver->shed_total();
+      totals.shed += lane->queue->shed_total();
       totals.rejected += lane->queue->rejected_total();
       totals.trimmed += lane->queue->trimmed_total();
       totals.degraded_entries += lane->driver->degraded_entries();

@@ -208,7 +208,7 @@ class ShardedEngine {
   // "Overload & backpressure"): delivered + shed partitions the input.
   struct LaneTotals {
     int64_t delivered = 0;         // Elements lane drivers handed over.
-    int64_t shed = 0;              // Queue evictions + degraded sampling.
+    int64_t shed = 0;              // Queue evictions (shed_oldest).
     int64_t rejected = 0;          // Produces the queues refused.
     int64_t trimmed = 0;           // Retention trims.
     int64_t degraded_entries = 0;  // Driver switches into degraded mode.

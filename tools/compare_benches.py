@@ -7,8 +7,7 @@
 
 Two file shapes are understood, matched by name:
 
-  * google-benchmark JSON (BENCH_match.json, BENCH_parallel_queries.json,
-    BENCH_recovery.json, BENCH_emit_latency.json, BENCH_overload.json):
+  * google-benchmark JSON (every BENCH_<bench>.json but the harness's):
     each benchmark's real_time is compared by name; a fresh run slower
     than `baseline * threshold` fails.
   * the latency harness's flat JSON (BENCH_latency.json): p50_us / p99_us
@@ -24,6 +23,12 @@ same change. A fresh google-benchmark result that reports an error
 (`"error_occurred": true`, from SkipWithError: a failed oracle diff or
 self-check) fails the run whether or not it has a baseline.
 
+Each file's baseline and fresh core counts are printed: the `nproc` that
+tools/run_benches.sh and the latency harness record, else google-
+benchmark's context.num_cpus. When they differ, every thread-scaling
+benchmark in the file is flagged, since its speedup depends on the cores
+the run had; the flag is a note and never fails the run.
+
 Exit code: 0 = within thresholds (or nothing to compare), 1 = regression
 or a bench error.
 """
@@ -37,6 +42,26 @@ import sys
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# Benchmarks whose result depends on the number of cores: their arms run
+# on 1..8 threads or shards.
+THREAD_SCALING = ("BM_ParallelSeedScan", "BM_ParallelQueryFleet",
+                  "BM_ShardedPipeline")
+
+
+def core_count(doc):
+    """The core count a result was taken on, or None when unrecorded."""
+    if not isinstance(doc, dict):
+        return None
+    context = doc.get("context", {})
+    for value in (doc.get("nproc"), context.get("nproc"),
+                  context.get("num_cpus")):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            continue
+    return None
 
 
 def is_google_benchmark(doc):
@@ -68,7 +93,8 @@ def benchmark_errors(name, doc, failures):
             failures.append(f"{name}: {bench.get('name')} failed: {message}")
 
 
-def compare_google_benchmark(name, baseline, fresh, threshold, failures):
+def compare_google_benchmark(name, baseline, fresh, threshold, failures,
+                             cores_differ):
     base_times = benchmark_times(baseline)
     fresh_times = benchmark_times(fresh)
     for bench_name in sorted(base_times.keys() | fresh_times.keys()):
@@ -85,8 +111,11 @@ def compare_google_benchmark(name, baseline, fresh, threshold, failures):
         if base > 0 and ratio > threshold:
             verdict = f"REGRESSION (> {threshold:.1f}x)"
             failures.append(f"{name}: {bench_name} {ratio:.2f}x slower")
+        note = ""
+        if cores_differ and bench_name.startswith(THREAD_SCALING):
+            note = "  [cores differ: thread-scaling result]"
         print(f"  [{verdict:>10}] {bench_name}: {base:.0f} ns -> {cur:.0f} ns"
-              f" ({ratio:.2f}x)")
+              f" ({ratio:.2f}x){note}")
 
 
 def compare_latency(name, baseline, fresh, threshold, failures):
@@ -156,10 +185,14 @@ def main():
             continue
         baseline = load_json(os.path.join(args.baseline_dir, file_name))
         fresh = load_json(os.path.join(args.results_dir, file_name))
-        print(f"{file_name}:")
+        base_cores = core_count(baseline)
+        fresh_cores = core_count(fresh)
+        print(f"{file_name}: cores {base_cores or '?'} (baseline) -> "
+              f"{fresh_cores or '?'} (fresh)")
+        cores_differ = base_cores != fresh_cores
         if is_google_benchmark(baseline) and is_google_benchmark(fresh):
             compare_google_benchmark(file_name, baseline, fresh,
-                                     args.threshold, failures)
+                                     args.threshold, failures, cores_differ)
         else:
             compare_latency(file_name, baseline, fresh,
                             args.latency_threshold, failures)

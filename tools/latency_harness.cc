@@ -166,9 +166,9 @@ int main(int argc, char** argv) {
                 "no delivered evaluations (rate/duration too small?)");
   }
   const double achieved = static_cast<double>(produced) / wall_sec;
-  // The overload ledger: every element a lane queue refused or evicted,
-  // and every one a degraded driver sampled out, is counted here and
-  // dead-lettered, so delivered + shed partitions the input.
+  // The overload ledger: every element a lane queue refused or evicted
+  // is counted here and dead-lettered, so delivered + shed partitions the
+  // input.
   const shard::ShardedEngine::LaneTotals totals = fleet.Totals();
 
   const double rss_mb = RssMb();
@@ -187,9 +187,11 @@ int main(int argc, char** argv) {
             << " degraded_entries=" << totals.degraded_entries << "  rss="
             << std::fixed << std::setprecision(1) << rss_mb << " MiB\n";
 
-  // The JSON report, for the bench-baseline diff.
+  // The JSON report, for the bench-baseline diff. `nproc` records the
+  // core count the run had, so baselines compare like with like.
   std::ofstream out(opt.out);
   out << "{\n"
+      << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"rate_target\": " << opt.rate << ",\n"
       << "  \"rate_achieved\": " << achieved << ",\n"
       << "  \"duration_sec\": " << opt.duration_sec << ",\n"

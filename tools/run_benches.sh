@@ -1,31 +1,58 @@
 #!/usr/bin/env bash
 # Runs the benchmark suite that tracks the engine's performance trajectory
-# (bench_match: pattern matching incl. morsel-parallel scaling;
-# bench_parallel_queries: inter-query scheduler scaling; bench_recovery:
-# checkpoint write cost vs. state size and recovery latency vs. replay
-# length; bench_emit_latency: the latency-stamping overhead guard;
-# bench_delta: delta-matching ablation — steady-state evaluation latency
-# vs. window size with churn held fixed; bench_overload: bounded-queue
-# admission cost per overflow policy and
-# the degraded-mode catch-up pump;
-# bench_sharded: the sharded serving tier — one hash-partitioned
-# workload through 1/2/4-shard fleets vs. the bare engine) plus
-# the steady-state latency harness, and writes one BENCH_<name>.json per
-# binary for archiving as a CI artifact and diffing against the committed
-# baselines in bench/baselines/ (tools/compare_benches.py).
+# and writes one BENCH_<name>.json per binary for archiving as a CI
+# artifact and diffing against the committed baselines in bench/baselines/
+# (tools/compare_benches.py). Every bench binary is tracked:
+#   bench_running_example: Tables 2/5/6 reproduction, incremental vs.
+#     rebuild replay, the tracing-overhead guard, and query parsing;
+#   bench_continuous_vs_polling: native continuous evaluation vs. the
+#     paper's section 3.3 polling workaround;
+#   bench_incremental_window: incremental_snapshots ablation over the
+#     window width;
+#   bench_result_reuse: reuse_unchanged_windows ablation on a bursty
+#     stream;
+#   bench_match: pattern matching incl. morsel-parallel scaling and the
+#     seed / join-order ablations;
+#   bench_parallel_queries: inter-query scheduler scaling;
+#   bench_recovery: checkpoint write cost vs. state size and recovery
+#     latency vs. replay length;
+#   bench_emit_latency: the latency-stamping overhead guard;
+#   bench_delta: delta-matching ablation, steady-state evaluation latency
+#     vs. window size with churn held fixed;
+#   bench_overload: bounded-queue admission cost per overflow policy and
+#     the degraded-mode catch-up pump;
+#   bench_sharded: one hash-partitioned workload through 1/2/4-shard
+#     fleets vs. the bare engine;
+# plus the steady-state latency harness.
 #
 #   tools/run_benches.sh [build-dir] [output-dir]
 #
 # Defaults: build-dir = build, output-dir = bench-results. Extra repetition
 # or filter knobs can be passed via BENCH_ARGS (forwarded verbatim to the
 # google-benchmark binaries) and LATENCY_ARGS (to the latency harness).
+# Each result records the machine's core count (context "nproc") so that
+# compare_benches.py can flag thread-scaling results taken on different
+# core counts. A built bench binary missing from BENCHES is an error: a
+# bench is either tracked here, with a committed baseline, or deleted.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench-results}"
-BENCHES=(bench_match bench_parallel_queries bench_recovery bench_emit_latency
-         bench_delta
-         bench_overload bench_sharded)
+BENCHES=(bench_running_example bench_continuous_vs_polling
+         bench_incremental_window bench_result_reuse
+         bench_match bench_parallel_queries bench_recovery bench_emit_latency
+         bench_delta bench_overload bench_sharded)
+NPROC="$(nproc)"
+
+for bin in "${BUILD_DIR}"/bench/bench_*; do
+  [[ -f "${bin}" && -x "${bin}" ]] || continue
+  name="$(basename "${bin}")"
+  if [[ " ${BENCHES[*]} " != *" ${name} "* ]]; then
+    echo "error: ${bin} is not in BENCHES; track it here with a baseline" \
+         "in bench/baselines/, or delete it" >&2
+    exit 1
+  fi
+done
 
 mkdir -p "${OUT_DIR}"
 for bench in "${BENCHES[@]}"; do
@@ -39,6 +66,7 @@ for bench in "${BENCHES[@]}"; do
     --benchmark_format=json \
     --benchmark_out="${OUT_DIR}/BENCH_${bench#bench_}.json" \
     --benchmark_out_format=json \
+    --benchmark_context=nproc="${NPROC}" \
     ${BENCH_ARGS:-}
 done
 
